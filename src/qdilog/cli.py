@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from .core import EvalConfig, as_modulus, gb_eval, nearest_lattice_point, small_gb
+from .core import EvalConfig, _lattice_distance, as_modulus, gb_eval, small_gb
 from .errors import (
     ContourUnsupportedError,
     ConvergenceError,
@@ -173,12 +173,6 @@ def _eval_config(cfg: RunConfig) -> EvalConfig | None:
     if cfg.rel_tol is None:
         return None
     return EvalConfig(rel_tol=cfg.rel_tol)
-
-
-def _lattice_distance(z: complex, m) -> float:
-    _, _, _, d_pole = nearest_lattice_point(-z, m)
-    _, _, _, d_zero = nearest_lattice_point(z - m.Q, m)
-    return min(d_pole, d_zero)
 
 
 def _cmd_eval(args, cfg: RunConfig) -> tuple:

@@ -135,7 +135,13 @@ class EvalConfig:
     asym_threshold: float = 8.0
 
     def cache_key(self) -> tuple:
-        return (self.rel_tol, self.trunc_margin, self.max_refine, self.precision)
+        return (
+            self.rel_tol,
+            self.trunc_margin,
+            self.max_refine,
+            self.precision,
+            self.asym_threshold,
+        )
 
 
 _DEFAULT_CFG = EvalConfig()
@@ -209,6 +215,11 @@ def _zero_distance(z: complex, m: ModulusParam):
     """(nearest zero, distance) of G_b from z."""
     n1, n2, p, d = nearest_lattice_point(z - m.Q, m)
     return m.Q + p, d
+
+
+def _lattice_distance(z: complex, m: ModulusParam) -> float:
+    """Distance from z to the nearer of the pole and zero lattices of G_b."""
+    return min(_pole_distance(z, m)[1], _zero_distance(z, m)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +391,16 @@ def _log_gb_strip_batch(
     return log_zeta_bar - np.asarray(res.values, dtype=complex)
 
 
+_STRIP_CHUNK = 384
+
+
 def log_gb_strip(z0s, b, cfg: EvalConfig | None = None) -> np.ndarray:
     """log G_b on points of the open strip 0 < Re z < Re Q (no reduction).
 
-    Points far from the real axis are answered from the asymptotic laws;
-    the rest share one batched contour integration.
+    Points far from the real axis are answered from the asymptotic laws.
+    The rest are grouped by |Im z| // 2, so that a batch shares a fair panel
+    width, and integrated in batches of at most _STRIP_CHUNK points, in
+    band order and in the given order within a band.
     """
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
@@ -395,14 +411,19 @@ def log_gb_strip(z0s, b, cfg: EvalConfig | None = None) -> np.ndarray:
     scale = m.min_re_step
     up = scale * pts.imag >= cfg.asym_threshold
     down = scale * pts.imag <= -cfg.asym_threshold
-    mid = ~(up | down)
-    if up.any():
-        out[up] = -m.log_zeta
-    if down.any():
-        zd = pts[down]
-        out[down] = m.log_zeta + 1j * math.pi * zd * (zd - m.Q)
-    if mid.any():
-        out[mid] = _log_gb_strip_batch(pts[mid], m, cfg)
+    out[up] = -m.log_zeta
+    # Scalar arithmetic: numpy's vectorised complex product may fuse a
+    # multiply and an add, so its last bits depend on the CPU it runs on.
+    out[down] = [
+        m.log_zeta + 1j * math.pi * z * (z - m.Q) for z in pts[down].tolist()
+    ]
+    mid = np.nonzero(~(up | down))[0]
+    bands = (np.abs(pts.imag[mid]) // 2.0).astype(int)
+    for band in np.unique(bands):
+        group = mid[bands == band]
+        for i in range(0, len(group), _STRIP_CHUNK):
+            part = group[i : i + _STRIP_CHUNK]
+            out[part] = _log_gb_strip_batch(pts[part], m, cfg)
     return out
 
 
@@ -462,43 +483,23 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
                 continue
         reductions[z] = strip_reduce(z, m)
 
+    # This call reads only its own logs: the shared cache may be cleared,
+    # here or by another thread, between the lookup and the use.
     base_key = (m.b,) + cfg.cache_key()
-    todo = {
-        red.z0
-        for red in reductions.values()
-        if (red.z0, *base_key) not in _LOG_CACHE
-    }
+    logs: dict = {}
+    for red in reductions.values():
+        hit = _LOG_CACHE.get((red.z0, *base_key))
+        if hit is not None:
+            logs[red.z0] = hit
+    todo = _sorted_unique({red.z0 for red in reductions.values()} - logs.keys())
     if len(_LOG_CACHE) > _CACHE_CAP:
         _LOG_CACHE.clear()
-
-    scale = m.min_re_step
-    quad_pts = []
-    for z0 in _sorted_unique(todo):
-        h = scale * z0.imag
-        if h >= cfg.asym_threshold:
-            _LOG_CACHE[(z0, *base_key)] = -m.log_zeta
-        elif h <= -cfg.asym_threshold:
-            _LOG_CACHE[(z0, *base_key)] = m.log_zeta + 1j * math.pi * z0 * (z0 - m.Q)
-        else:
-            quad_pts.append(z0)
-
-    # Group by the size of the oscillation so one chunk shares a fair panel
-    # width, then integrate in bounded batches.
-    bands: dict = {}
-    for z0 in quad_pts:
-        bands.setdefault(int(abs(z0.imag) // 2.0), []).append(z0)
-    chunk = 384
-    for band_key in sorted(bands):
-        group = bands[band_key]
-        for i in range(0, len(group), chunk):
-            part = np.asarray(group[i : i + chunk], dtype=complex)
-            logs = _log_gb_strip_batch(part, m, cfg)
-            for z0, lg in zip(part, logs):
-                _LOG_CACHE[(complex(z0), *base_key)] = complex(lg)
+    if todo:
+        for z0, lg in zip(todo, log_gb_strip(todo, m, cfg)):
+            logs[z0] = _LOG_CACHE[(z0, *base_key)] = complex(lg)
 
     for z, red in reductions.items():
-        lg = _LOG_CACHE[(red.z0, *base_key)]
-        results[z] = reduction_correction(red, m) * cmath.exp(lg)
+        results[z] = reduction_correction(red, m) * cmath.exp(logs[red.z0])
 
     for z, idxs in positions.items():
         for i in idxs:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contour import IntegrationResult, integrate_contour
-from .core import EvalConfig, as_modulus, nearest_lattice_point
+from .core import EvalConfig, _lattice_distance, as_modulus
 from .errors import DegenerateParameterError
 from .symbolic import (
     AffineForm,
@@ -418,12 +418,6 @@ def rep_bindings(params: RepParams, u_value: complex) -> dict:
     }
 
 
-def _lattice_margin(z: complex, m) -> float:
-    _, _, _, d_pole = nearest_lattice_point(-z, m)
-    _, _, _, d_zero = nearest_lattice_point(z - m.Q, m)
-    return min(d_pole, d_zero)
-
-
 def make_rep_params(
     b,
     alpha: float = 0.5,
@@ -450,7 +444,7 @@ def make_rep_params(
         for sym in static_syms:
             for f in sym.factors:
                 z = f.argument.evaluate(bindings)
-                d = _lattice_margin(z, m)
+                d = _lattice_distance(z, m)
                 if d < margin:
                     raise DegenerateParameterError(
                         f"argument {z} sits {d:.2e} from a pole/zero lattice "

@@ -8,18 +8,29 @@ none.  The consistency suite re-runs representative quadrature cases under
 contour deformation and truncation doubling, requiring agreement within
 the reported error estimates.
 
-Cases run on a thread pool (capped by QDILOG_THREADS) and are assembled in
-case-index order, so reports are deterministic for a fixed config and seed.
+A suite is data: its run_* function lays out cases (label, inputs and a
+callable that runs both routes and judges them) for the resolved modulus,
+and the one runner, _run, times the suite, runs the cases and builds the
+report.  Errors raised while laying out the cases propagate; an error inside
+a case fails that case.  tau-binomial, six-nine, q-binomial and kac run
+their cases on a thread pool (capped by QDILOG_THREADS); every suite
+assembles its cases in case-index order.  At one thread a report is
+deterministic for a fixed config and seed.  Pool threads share the G_b log
+cache, so which points share a strip batch, and with it the last digits of
+a value, can change from run to run.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +49,7 @@ from .core import (
 )
 from .errors import UnsupportedParameterError
 from .identities import (
+    _relative,
     six_nine_check,
     six_nine_integrand,
     tau_binomial_check,
@@ -80,6 +92,17 @@ DEFAULT_ALPHA = 0.5
 DEFAULT_SEED = 20260817
 
 
+@dataclass(frozen=True)
+class _Case:
+    """One comparison: check() runs both routes and returns the CaseResult
+    fields other than index, label and inputs.  It may add inputs that only
+    the run determines."""
+
+    label: str
+    inputs: dict
+    check: Callable[[], dict]
+
+
 def _thread_count(requested: int | None, n_cases: int) -> int:
     cap = os.environ.get("QDILOG_THREADS")
     if requested is None:
@@ -89,34 +112,46 @@ def _thread_count(requested: int | None, n_cases: int) -> int:
     return max(1, min(requested, n_cases))
 
 
-def _run_cases(builders, threads: int | None):
-    """Run case closures, in order; exceptions become failed cases."""
-    results = []
+def _run_cases(cases, threads: int | None):
+    """Run cases in order, on a pool of threads if asked; exceptions become
+    failed cases."""
 
     def guard(item):
-        index, label, fn = item
+        index, case = item
         try:
-            return fn()
+            outcome = case.check()
         except Exception as exc:  # honest failure, not a crash
-            return CaseResult(
-                index=index,
-                label=label,
-                passed=False,
-                flags=("error",),
-                detail=f"{type(exc).__name__}: {exc}",
-            )
+            outcome = {
+                "passed": False,
+                "flags": ("error",),
+                "detail": f"{type(exc).__name__}: {exc}",
+            }
+        fields = {"inputs": case.inputs, **outcome}
+        return CaseResult(index=index, label=case.label, **fields)
 
-    n = _thread_count(threads, len(builders))
-    if n <= 1 or len(builders) <= 1:
-        results = [guard(it) for it in builders]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            results = list(pool.map(guard, builders))
-    return sorted(results, key=lambda c: c.index)
+    items = list(enumerate(cases))
+    n = _thread_count(threads, len(items))
+    if n <= 1:
+        return [guard(it) for it in items]
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(guard, items))
 
 
-def _rel_dev(a: complex, c: complex) -> float:
-    return abs(a - c) / max(abs(a), abs(c), 1e-300)
+def _run(suite, b, cases, *, alpha, tol, config, seed=None, threads=1) -> SuiteReport:
+    """Time one suite: resolve b, lay out cases(m), run them and report."""
+    t0 = time.perf_counter()
+    m = as_modulus(b)
+    results = _run_cases(cases(m), threads)
+    return SuiteReport(
+        suite=suite,
+        b=complex(m.b),
+        alpha=alpha,
+        tol=tol,
+        cases=results,
+        seed=seed,
+        config=config,
+        elapsed_seconds=time.perf_counter() - t0,
+    )
 
 
 def _contour_meta(res) -> dict:
@@ -129,20 +164,19 @@ def _contour_meta(res) -> dict:
     }
 
 
-def _numeric_case(index, label, inputs, lhs, rhs, tol, err=None, res=None):
-    dev = float(_rel_dev(lhs, rhs))
-    return CaseResult(
-        index=index,
-        label=label,
-        passed=dev <= tol,
-        lhs=complex(lhs),
-        rhs=complex(rhs),
-        deviation=dev,
-        tol=float(tol),
-        err_estimate=None if err is None else float(err),
-        inputs=inputs,
-        contour=_contour_meta(res) if res is not None else None,
-    )
+def _compare(lhs, rhs, tol, res=None) -> dict:
+    """Relative comparison of two routes; res is the contour integral behind
+    one of them and supplies the error estimate."""
+    dev = float(_relative(lhs, rhs))
+    return {
+        "passed": dev <= tol,
+        "lhs": complex(lhs),
+        "rhs": complex(rhs),
+        "deviation": dev,
+        "tol": float(tol),
+        "err_estimate": None if res is None else float(res.err_estimate),
+        "contour": None if res is None else _contour_meta(res),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -159,32 +193,28 @@ def run_reflection(
     threads=None,
 ) -> SuiteReport:
     """G(z) G(Q-z) against exp(pi i z (z - Q)) on an n x n strip grid."""
-    t0 = time.perf_counter()
-    m = as_modulus(b)
-    req = m.Q.real
-    xs = [req * (i + 0.5) / n for i in range(n)]
-    ys = [-0.9 + 1.8 * j / max(n - 1, 1) for j in range(n)]
-    zs = np.array([x + 1j * y for x in xs for y in ys])
-    vals = gb_eval_many(np.concatenate([zs, m.Q - zs]), m, cfg)
-    g_z, g_qz = vals[: len(zs)], vals[len(zs):]
-    cases = []
-    for k, z in enumerate(zs):
-        lhs = g_z[k] * g_qz[k]
-        rhs = np.exp(1j * math.pi * z * (z - m.Q))
-        cases.append(
-            _numeric_case(
-                k, f"z={z:.6g}", {"z": complex(z)}, lhs, rhs, tol
-            )
-        )
-    return SuiteReport(
-        suite="reflection",
-        b=complex(m.b),
-        alpha=alpha,
-        tol=tol,
-        cases=cases,
-        config={"n": n},
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+
+    def cases(m):
+        req = m.Q.real
+        xs = [req * (i + 0.5) / n for i in range(n)]
+        ys = [-0.9 + 1.8 * j / max(n - 1, 1) for j in range(n)]
+        zs = np.array([x + 1j * y for x in xs for y in ys])
+        g = gb_eval_many(np.concatenate([zs, m.Q - zs]), m, cfg)
+
+        def check(k, z):
+            rhs = np.exp(1j * math.pi * z * (z - m.Q))
+            return _compare(g[k] * g[len(zs) + k], rhs, tol)
+
+        return [
+            _Case(f"z={z:.6g}", {"z": complex(z)}, partial(check, k, z))
+            for k, z in enumerate(zs)
+        ]
+
+    return _run("reflection", b, cases, alpha=alpha, tol=tol, config={"n": n})
+
+
+# Strip points of the shift-equation suite: (fraction of Re Q, Im z).
+_FUNCEQ_POINTS = ((0.23, 0.27), (0.47, -0.41), (0.62, 0.55), (0.86, -0.18))
 
 
 def run_funceq(
@@ -197,49 +227,29 @@ def run_funceq(
     max_order: int = 2,
 ) -> SuiteReport:
     """Shift equation in both periods: G(z + n1 b + n2/b) vs factor * G(z)."""
-    t0 = time.perf_counter()
-    m = as_modulus(b)
-    req = m.Q.real
-    z0s = [
-        0.23 * req + 0.27j,
-        0.47 * req - 0.41j,
-        0.62 * req + 0.55j,
-        0.86 * req - 0.18j,
-    ]
     orders = [(n1, n2) for n1 in range(max_order + 1) for n2 in range(max_order + 1)]
-    base = np.array(z0s)
-    shifted = np.array(
-        [z + n1 * m.b + n2 * m.b_inv for z in z0s for n1, n2 in orders]
-    )
-    vals = gb_eval_many(np.concatenate([base, shifted]), m, cfg)
-    g0 = vals[: len(base)]
-    gs = vals[len(base):]
-    cases = []
-    k = 0
-    for iz, z in enumerate(z0s):
-        for n1, n2 in orders:
-            lhs = gs[k]
-            rhs = func_eq_general(z, n1, n2, m) * g0[iz]
-            cases.append(
-                _numeric_case(
-                    k,
-                    f"z={z:.4g} shift=({n1},{n2})",
-                    {"z": z, "n1": n1, "n2": n2},
-                    lhs,
-                    rhs,
-                    tol,
-                )
+
+    def cases(m):
+        z0s = [complex(f * m.Q.real, y) for f, y in _FUNCEQ_POINTS]
+        shifted = [z + n1 * m.b + n2 * m.b_inv for z in z0s for n1, n2 in orders]
+        g = gb_eval_many(np.array(z0s + shifted), m, cfg)
+
+        def check(k, iz, n1, n2):
+            rhs = func_eq_general(z0s[iz], n1, n2, m) * g[iz]
+            return _compare(g[len(z0s) + k], rhs, tol)
+
+        grid = [(iz, z, n1, n2) for iz, z in enumerate(z0s) for n1, n2 in orders]
+        return [
+            _Case(
+                f"z={z:.4g} shift=({n1},{n2})",
+                {"z": z, "n1": n1, "n2": n2},
+                partial(check, k, iz, n1, n2),
             )
-            k += 1
-    return SuiteReport(
-        suite="funceq",
-        b=complex(m.b),
-        alpha=alpha,
-        tol=tol,
-        cases=cases,
-        config={"max_order": max_order, "n_points": len(z0s)},
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+            for k, (iz, z, n1, n2) in enumerate(grid)
+        ]
+
+    config = {"max_order": max_order, "n_points": len(_FUNCEQ_POINTS)}
+    return _run("funceq", b, cases, alpha=alpha, tol=tol, config=config)
 
 
 def run_product_oracle(
@@ -252,33 +262,26 @@ def run_product_oracle(
     threads=None,
 ) -> SuiteReport:
     """Defining-integral route against the double infinite product."""
-    t0 = time.perf_counter()
-    m = as_modulus(b)
-    if (m.b * m.b).imag <= 0:
-        raise UnsupportedParameterError(
-            f"product representation needs Im(b^2) > 0; b = {m.b} has "
-            f"Im(b^2) = {(m.b * m.b).imag:g}"
-        )
-    req = m.Q.real
-    xs = np.array([req * (k + 0.5) / n for k in range(n)])
-    lhs_vals = gb_eval_many(xs, m, cfg)
-    cases = []
-    for k, x in enumerate(xs):
-        rhs = gb_product_oracle(complex(x), m)
-        cases.append(
-            _numeric_case(
-                k, f"x={x:.6g}", {"x": complex(x)}, lhs_vals[k], rhs, tol
+
+    def cases(m):
+        if (m.b * m.b).imag <= 0:
+            raise UnsupportedParameterError(
+                f"product representation needs Im(b^2) > 0; b = {m.b} has "
+                f"Im(b^2) = {(m.b * m.b).imag:g}"
             )
-        )
-    return SuiteReport(
-        suite="product-oracle",
-        b=complex(m.b),
-        alpha=alpha,
-        tol=tol,
-        cases=cases,
-        config={"n": n},
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+        req = m.Q.real
+        xs = np.array([req * (k + 0.5) / n for k in range(n)])
+        lhs = gb_eval_many(xs, m, cfg)
+
+        def check(k, x):
+            return _compare(lhs[k], gb_product_oracle(complex(x), m), tol)
+
+        return [
+            _Case(f"x={x:.6g}", {"x": complex(x)}, partial(check, k, x))
+            for k, x in enumerate(xs)
+        ]
+
+    return _run("product-oracle", b, cases, alpha=alpha, tol=tol, config={"n": n})
 
 
 def run_pole_limits(
@@ -294,51 +297,34 @@ def run_pole_limits(
     Two probe sizes a decade apart kill the linear error term; the
     extrapolated limit must match the closed-form residue products.
     """
-    t0 = time.perf_counter()
-    m = as_modulus(b)
     probes = (1e-3, 1e-4)
-    cases = []
-    idx = 0
-    for n1, n2 in ((0, 0), (1, 0), (0, 1)):
-        shift = -n1 * m.b - n2 * m.b_inv
-        f = [x * gb_eval(x + shift, m, cfg) for x in probes]
-        extrap = (10.0 * f[1] - f[0]) / 9.0
-        target = pole_limit(n1, n2, m)
-        cases.append(
-            _numeric_case(
-                idx,
-                f"pole ({n1},{n2})",
-                {"n1": n1, "n2": n2, "probes": list(probes)},
-                extrap,
-                target,
-                tol,
-            )
+
+    def cases(m):
+        kinds = (
+            ("pole", operator.mul, pole_limit,
+             lambda n1, n2: -n1 * m.b - n2 * m.b_inv),
+            ("zero", operator.truediv, zero_limit,
+             lambda n1, n2: m.Q + n1 * m.b + n2 * m.b_inv),
         )
-        idx += 1
-    for n1, n2 in ((0, 0), (1, 0), (0, 1)):
-        shift = m.Q + n1 * m.b + n2 * m.b_inv
-        f = [x / gb_eval(x + shift, m, cfg) for x in probes]
-        extrap = (10.0 * f[1] - f[0]) / 9.0
-        target = zero_limit(n1, n2, m)
-        cases.append(
-            _numeric_case(
-                idx,
-                f"zero ({n1},{n2})",
+
+        def check(shift, op, target):
+            f = [op(x, gb_eval(x + shift, m, cfg)) for x in probes]
+            return _compare((10.0 * f[1] - f[0]) / 9.0, target, tol)
+
+        # The closed forms are evaluated here, so a resonant modulus is
+        # refused before any case runs.
+        return [
+            _Case(
+                f"{kind} ({n1},{n2})",
                 {"n1": n1, "n2": n2, "probes": list(probes)},
-                extrap,
-                target,
-                tol,
+                partial(check, shift(n1, n2), op, limit(n1, n2, m)),
             )
-        )
-        idx += 1
-    return SuiteReport(
-        suite="pole-limits",
-        b=complex(m.b),
-        alpha=alpha,
-        tol=tol,
-        cases=cases,
-        config={"probes": list(probes)},
-        elapsed_seconds=time.perf_counter() - t0,
+            for kind, op, limit, shift in kinds
+            for n1, n2 in ((0, 0), (1, 0), (0, 1))
+        ]
+
+    return _run(
+        "pole-limits", b, cases, alpha=alpha, tol=tol, config={"probes": list(probes)}
     )
 
 
@@ -361,37 +347,27 @@ def run_tau_binomial(
     Grid points Q*k/12 for k = 1..n keep every pair inside the absolute
     convergence wedge Re(alpha + beta) < Re Q when n <= 5.
     """
-    t0 = time.perf_counter()
-    m = as_modulus(b)
-    grid = [m.Q * k / 12 for k in range(1, n + 1)]
-    builders = []
-    idx = 0
-    for a in grid:
-        for be in grid:
-            def job(a=a, be=be, idx=idx):
-                chk = tau_binomial_check(a, be, m, cfg=cfg, rel_tol=rel_tol)
-                return _numeric_case(
-                    idx,
-                    f"alpha={a:.4g} beta={be:.4g}",
-                    {"alpha": a, "beta": be},
-                    chk.lhs,
-                    chk.rhs,
-                    tol,
-                    err=chk.err_estimate,
-                    res=chk.result,
-                )
 
-            builders.append((idx, f"alpha={a:.4g} beta={be:.4g}", job))
-            idx += 1
-    cases = _run_cases(builders, threads)
-    return SuiteReport(
-        suite="tau-binomial",
-        b=complex(m.b),
-        alpha=alpha,
-        tol=tol,
-        cases=cases,
-        config={"n": n, "rel_tol": rel_tol},
-        elapsed_seconds=time.perf_counter() - t0,
+    def cases(m):
+        grid = [m.Q * k / 12 for k in range(1, n + 1)]
+
+        def check(a, be):
+            chk = tau_binomial_check(a, be, m, cfg=cfg, rel_tol=rel_tol)
+            return _compare(chk.lhs, chk.rhs, tol, chk.result)
+
+        return [
+            _Case(
+                f"alpha={a:.4g} beta={be:.4g}",
+                {"alpha": a, "beta": be},
+                partial(check, a, be),
+            )
+            for a in grid
+            for be in grid
+        ]
+
+    return _run(
+        "tau-binomial", b, cases, alpha=alpha, tol=tol,
+        config={"n": n, "rel_tol": rel_tol}, threads=threads,
     )
 
 
@@ -426,49 +402,33 @@ def run_six_nine(
     include_kac_tuple: bool = True,
 ) -> SuiteReport:
     """Six-over-three G ratio vs the contour integral, random + named tuples."""
-    t0 = time.perf_counter()
-    m = as_modulus(b)
-    rng = np.random.default_rng(seed)
-    entries = [
-        ("random", t) for t in _six_nine_tuples(m, rng, n_random)
-    ]
-    entries.append(("named-1", (m.Q / 6, m.Q / 7, m.Q / 9, m.Q / 4 + 0.1j)))
-    entries.append(("named-2", (m.Q / 8, m.Q / 8, m.Q / 8, m.Q / 3)))
-    if include_kac_tuple:
-        params = make_rep_params(m.b, alpha=alpha)
-        entries.append(
-            (
-                "kac-substitution",
-                kac_substitution_tuple(params, params.u_samples[0]),
-            )
-        )
-    builders = []
-    for idx, (kind, tup) in enumerate(entries):
-        def job(tup=tup, kind=kind, idx=idx):
-            a, b_arg, c, d = tup
+
+    def cases(m):
+        rng = np.random.default_rng(seed)
+        entries = [("random", t) for t in _six_nine_tuples(m, rng, n_random)]
+        entries.append(("named-1", (m.Q / 6, m.Q / 7, m.Q / 9, m.Q / 4 + 0.1j)))
+        entries.append(("named-2", (m.Q / 8, m.Q / 8, m.Q / 8, m.Q / 3)))
+        if include_kac_tuple:
+            params = make_rep_params(m.b, alpha=alpha)
+            kac_tuple = kac_substitution_tuple(params, params.u_samples[0])
+            entries.append(("kac-substitution", kac_tuple))
+
+        def check(a, b_arg, c, d):
             chk = six_nine_check(a, b_arg, c, d, m, cfg=cfg, rel_tol=rel_tol)
-            return _numeric_case(
-                idx,
+            return _compare(chk.lhs, chk.rhs, tol, chk.result)
+
+        return [
+            _Case(
                 f"{kind} A={a:.3g} B={b_arg:.3g} C={c:.3g} D={d:.3g}",
                 {"A": a, "B": b_arg, "C": c, "D": d, "kind": kind},
-                chk.lhs,
-                chk.rhs,
-                tol,
-                err=chk.err_estimate,
-                res=chk.result,
+                partial(check, a, b_arg, c, d),
             )
+            for kind, (a, b_arg, c, d) in entries
+        ]
 
-        builders.append((idx, kind, job))
-    cases = _run_cases(builders, threads)
-    return SuiteReport(
-        suite="six-nine",
-        b=complex(m.b),
-        alpha=alpha,
-        tol=tol,
-        cases=cases,
-        seed=seed,
-        config={"n_random": n_random, "rel_tol": rel_tol},
-        elapsed_seconds=time.perf_counter() - t0,
+    return _run(
+        "six-nine", b, cases, alpha=alpha, tol=tol, seed=seed,
+        config={"n_random": n_random, "rel_tol": rel_tol}, threads=threads,
     )
 
 
@@ -491,11 +451,8 @@ def run_theorem31_exact(
     seeded cases re-run the same exact arithmetic at rational parameter
     tuples.  There is no tolerance anywhere.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    cases = []
 
-    def one_case(idx, label, args):
+    def check(args):
         checks = {
             "KK": verify_KK(args.get("p1"), args.get("p2")),
             "KE": verify_KE(args.get("p"), args.get("s")),
@@ -504,35 +461,29 @@ def run_theorem31_exact(
             "FF": verify_FF(args.get("t1"), args.get("t2")),
             "weyl": verify_weyl(args.get("s1"), args.get("s2")),
         }
-        ok = all(checks.values())
-        return CaseResult(
-            index=idx,
-            label=label,
-            passed=ok,
-            mode="exact",
-            inputs={k: str(v) for k, v in args.items()},
-            detail=", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in checks.items()),
-        )
+        detail = ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in checks.items())
+        return {"passed": all(checks.values()), "mode": "exact", "detail": detail}
 
-    cases.append(one_case(0, "formal generators", {}))
-    for i in range(1, n + 1):
-        draw = {
-            name: Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 5)) * 8)
-            for name in ("p1", "p2", "p", "s", "t", "s1", "s2", "t1", "t2")
-        }
-        label = "rational tuple " + ", ".join(
-            f"{k}={v}" for k, v in sorted(draw.items())
-        )
-        cases.append(one_case(i, label, draw))
-    return SuiteReport(
-        suite="theorem31-exact",
-        b=complex(b),
-        alpha=alpha,
-        tol=None,
-        cases=cases,
-        seed=seed,
-        config={"n": n},
-        elapsed_seconds=time.perf_counter() - t0,
+    def cases(m):
+        rng = np.random.default_rng(seed)
+        draws = [
+            {
+                name: Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 5)) * 8)
+                for name in ("p1", "p2", "p", "s", "t", "s1", "s2", "t1", "t2")
+            }
+            for _ in range(n)
+        ]
+        labelled = [("formal generators", {})] + [
+            ("rational tuple " + ", ".join(f"{k}={v}" for k, v in sorted(d.items())), d)
+            for d in draws
+        ]
+        return [
+            _Case(label, {k: str(v) for k, v in args.items()}, partial(check, args))
+            for label, args in labelled
+        ]
+
+    return _run(
+        "theorem31-exact", b, cases, alpha=alpha, tol=None, seed=seed, config={"n": n}
     )
 
 
@@ -546,42 +497,31 @@ def run_q_binomial(
     threads=None,
 ) -> SuiteReport:
     """Binomial expansion of (U1+V1)^{is} against the divided-power symbol."""
-    t0 = time.perf_counter()
-    m = as_modulus(b)
     tuples = [
         (0.4, alpha, 0.1),
         (0.4, alpha, -0.2),
         (0.25, 0.35, 0.15),
         (0.55, alpha, -0.1),
     ]
-    builders = []
-    for idx, (s, al, u) in enumerate(tuples):
-        def job(s=s, al=al, u=u, idx=idx):
+
+    def cases(m):
+        def check(s, al, u):
             params = make_rep_params(m.b, alpha=al, s=s, u_samples=(u,))
-            lhs, rhs, res = qbinomial_value(
-                params, u, cfg=cfg, rel_tol=rel_tol
-            )
-            return _numeric_case(
-                idx,
+            lhs, rhs, res = qbinomial_value(params, u, cfg=cfg, rel_tol=rel_tol)
+            return _compare(lhs, rhs, tol, res)
+
+        return [
+            _Case(
                 f"s={s} alpha={al} u={u}",
                 {"s": s, "alpha": al, "u": u},
-                lhs,
-                rhs,
-                tol,
-                err=res.err_estimate,
-                res=res,
+                partial(check, s, al, u),
             )
+            for s, al, u in tuples
+        ]
 
-        builders.append((idx, f"s={s} u={u}", job))
-    cases = _run_cases(builders, threads)
-    return SuiteReport(
-        suite="q-binomial",
-        b=complex(m.b),
-        alpha=alpha,
-        tol=tol,
-        cases=cases,
-        config={"rel_tol": rel_tol, "n": len(tuples)},
-        elapsed_seconds=time.perf_counter() - t0,
+    return _run(
+        "q-binomial", b, cases, alpha=alpha, tol=tol,
+        config={"rel_tol": rel_tol, "n": len(tuples)}, threads=threads,
     )
 
 
@@ -620,39 +560,29 @@ def run_kac(
     Tuples are (s, t, alpha, u); an explicit alpha argument overrides the
     per-tuple weight.
     """
-    t0 = time.perf_counter()
-    m = as_modulus(b)
     if tuples is None:
-        key = round(float(np.real(b)), 6)
-        tuples = _KAC_TUPLES.get(key, _KAC_TUPLES[0.8][:4])
-    builders = []
-    for idx, (s, t, al, u) in enumerate(tuples):
-        if alpha is not None:
-            al = alpha
-        def job(s=s, t=t, al=al, u=u, idx=idx):
+        tuples = _KAC_TUPLES.get(round(float(np.real(b)), 6), _KAC_TUPLES[0.8][:4])
+    if alpha is not None:
+        tuples = [(s, t, alpha, u) for s, t, _, u in tuples]
+
+    def cases(m):
+        def check(s, t, al, u):
             params = make_rep_params(m.b, alpha=al, s=s, t=t, u_samples=(u,))
             lhs, rhs, res = kac_values(params, u, cfg=cfg, rel_tol=rel_tol)
-            return _numeric_case(
-                idx,
+            return _compare(lhs, rhs, tol, res)
+
+        return [
+            _Case(
                 f"s={s} t={t} alpha={al} u={u}",
                 {"s": s, "t": t, "alpha": al, "u": u},
-                lhs,
-                rhs,
-                tol,
-                err=res.err_estimate,
-                res=res,
+                partial(check, s, t, al, u),
             )
+            for s, t, al, u in tuples
+        ]
 
-        builders.append((idx, f"s={s} t={t} u={u}", job))
-    cases = _run_cases(builders, threads)
-    return SuiteReport(
-        suite="kac",
-        b=complex(m.b),
-        alpha=alpha,
-        tol=tol,
-        cases=cases,
-        config={"rel_tol": rel_tol, "n": len(tuples)},
-        elapsed_seconds=time.perf_counter() - t0,
+    return _run(
+        "kac", b, cases, alpha=alpha, tol=tol,
+        config={"rel_tol": rel_tol, "n": len(tuples)}, threads=threads,
     )
 
 
@@ -680,48 +610,37 @@ def _deformed(contour: ContourSpec) -> ContourSpec:
     return replace(contour, baseline=contour.baseline + shift)
 
 
-def _consistency_pair(idx, label, spec, bindings, m, cfg, rel_tol):
+def _consistency_pair(spec, bindings, m, cfg, rel_tol) -> list:
+    """Outcomes of one integral against a deformed contour and against a
+    doubled truncation, each agreeing within the two error estimates."""
     res0 = integrate_contour(spec, bindings, m, cfg=cfg, rel_tol=rel_tol)
-    out = []
-    alt = _deformed(res0.contour)
-    res1 = integrate_contour(spec, bindings, m, contour=alt, cfg=cfg, rel_tol=rel_tol)
-    scale = max(abs(res0.value), abs(res1.value), 1e-300)
-    dev = abs(res0.value - res1.value)
-    bound = res0.err_estimate + res1.err_estimate + 1e-14 * scale
-    out.append(
-        CaseResult(
-            index=idx,
-            label=f"{label} contour-deformed",
-            passed=dev <= bound,
-            lhs=res0.value,
-            rhs=res1.value,
-            deviation=dev / scale,
-            tol=bound / scale,
-            err_estimate=bound,
-            inputs={"deformation": "shift" if not res0.contour.indentations else "radius"},
-            contour=_contour_meta(res1),
-        )
-    )
     t_max = max(res0.truncation)
-    fixed = replace(res0.contour, truncation=2.0 * t_max)
-    res2 = integrate_contour(spec, bindings, m, contour=fixed, cfg=cfg, rel_tol=rel_tol)
-    dev2 = abs(res0.value - res2.value)
-    bound2 = res0.err_estimate + res2.err_estimate + 1e-14 * scale
-    out.append(
-        CaseResult(
-            index=idx + 1,
-            label=f"{label} truncation-doubled",
-            passed=dev2 <= bound2,
-            lhs=res0.value,
-            rhs=res2.value,
-            deviation=dev2 / scale,
-            tol=bound2 / scale,
-            err_estimate=bound2,
-            inputs={"truncation": 2.0 * t_max},
-            contour=_contour_meta(res2),
-        )
+    variants = (
+        ({"deformation": "radius" if res0.contour.indentations else "shift"},
+         _deformed(res0.contour)),
+        ({"truncation": 2.0 * t_max}, replace(res0.contour, truncation=2.0 * t_max)),
     )
-    return out
+    alts = [
+        integrate_contour(spec, bindings, m, contour=c, cfg=cfg, rel_tol=rel_tol)
+        for _, c in variants
+    ]
+    # Both cases are scaled by the larger of the base and deformed values.
+    scale = max(abs(res0.value), abs(alts[0].value), 1e-300)
+    outcomes = []
+    for (inputs, _), res in zip(variants, alts):
+        dev = abs(res0.value - res.value)
+        bound = res0.err_estimate + res.err_estimate + 1e-14 * scale
+        outcomes.append({
+            "passed": dev <= bound,
+            "lhs": res0.value,
+            "rhs": res.value,
+            "deviation": dev / scale,
+            "tol": bound / scale,
+            "err_estimate": bound,
+            "inputs": inputs,
+            "contour": _contour_meta(res),
+        })
+    return outcomes
 
 
 def run_consistency(
@@ -738,153 +657,77 @@ def run_consistency(
     and reduction-order swap.  Contour checks: every quadrature identity
     family re-run on a deformed contour and a doubled truncation.
     """
-    t0 = time.perf_counter()
-    m = as_modulus(b)
     cfg = cfg or EvalConfig()
-    cases = []
 
-    z = 0.3 * m.Q.real + 0.2j
-    v0 = gb_eval(z, m, cfg)
-    v1 = gb_eval(z, m, replace(cfg, trunc_margin=cfg.trunc_margin + 1.0))
-    dev = _rel_dev(v0, v1)
-    cases.append(
-        CaseResult(
-            index=0,
-            label="strip truncation-margin +1 decade",
-            passed=dev <= 2 * cfg.rel_tol,
-            lhs=v0,
-            rhs=v1,
-            deviation=dev,
-            tol=2 * cfg.rel_tol,
-            inputs={"z": z},
+    def cases(m):
+        z, zr = 0.3 * m.Q.real + 0.2j, 2.6 + 0.35j
+        v0 = gb_eval(z, m, cfg)
+        red = strip_reduce(zr, m)
+        strip = (
+            ("strip truncation-margin +1 decade", z, 2 * cfg.rel_tol, lambda: (
+                v0, gb_eval(z, m, replace(cfg, trunc_margin=cfg.trunc_margin + 1.0)))),
+            ("strip extended precision", z, 2 * cfg.rel_tol, lambda: (
+                v0, gb_eval(z, m, replace(cfg, precision="extended")))),
+            ("reduction order b-first vs binv-first", zr, 1e-12, lambda: (
+                reduction_correction(red, m, order="b-first"),
+                reduction_correction(red, m, order="binv-first"))),
         )
-    )
-    v2 = gb_eval(z, m, replace(cfg, precision="extended"))
-    dev = _rel_dev(v0, v2)
-    cases.append(
-        CaseResult(
-            index=1,
-            label="strip extended precision",
-            passed=dev <= 2 * cfg.rel_tol,
-            lhs=v0,
-            rhs=v2,
-            deviation=dev,
-            tol=2 * cfg.rel_tol,
-            inputs={"z": z},
-        )
-    )
-    zr = 2.6 + 0.35j
-    red = strip_reduce(zr, m)
-    c1 = reduction_correction(red, m, order="b-first")
-    c2 = reduction_correction(red, m, order="binv-first")
-    dev = _rel_dev(c1, c2)
-    cases.append(
-        CaseResult(
-            index=2,
-            label="reduction order b-first vs binv-first",
-            passed=dev <= 1e-12,
-            lhs=c1,
-            rhs=c2,
-            deviation=dev,
-            tol=1e-12,
-            inputs={"z": zr},
-        )
-    )
+        out = [
+            _Case(label, {"z": at}, lambda r=routes, tol=tol: _compare(*r(), tol))
+            for label, at, tol, routes in strip
+        ]
 
-    idx = 3
-    tb = tau_binomial_integrand()
-    cases.extend(
-        _consistency_pair(
-            idx,
-            "tau-binomial",
-            tb,
-            {"Q": m.Q, "alpha": m.Q / 6, "beta": m.Q / 6},
-            m,
-            cfg,
-            1e-8,
+        def rep(**labels):
+            return rep_bindings(make_rep_params(m.b, u_samples=(0.1,), **labels), 0.1)
+
+        families = (
+            ("tau-binomial", tau_binomial_integrand(),
+             {"Q": m.Q, "alpha": m.Q / 6, "beta": m.Q / 6}, 1e-8),
+            ("six-nine", six_nine_integrand(),
+             {"Q": m.Q, "A": m.Q / 6, "B": m.Q / 7, "C": m.Q / 9, "D": m.Q / 4 + 0.1j},
+             1e-7),
+            ("q-binomial", qbinomial_integral().spec(), rep(alpha=alpha, s=0.4), 1e-8),
+            ("kac", kac_rhs_integral().spec(), rep(alpha=0.5, s=0.3, t=0.2), 1e-7),
         )
-    )
-    idx += 2
-    sn = six_nine_integrand()
-    cases.extend(
-        _consistency_pair(
-            idx,
-            "six-nine",
-            sn,
-            {
-                "Q": m.Q,
-                "A": m.Q / 6,
-                "B": m.Q / 7,
-                "C": m.Q / 9,
-                "D": m.Q / 4 + 0.1j,
-            },
-            m,
-            cfg,
-            1e-7,
-        )
-    )
-    idx += 2
-    params = make_rep_params(m.b, alpha=alpha, s=0.4, u_samples=(0.1,))
-    cases.extend(
-        _consistency_pair(
-            idx,
-            "q-binomial",
-            qbinomial_integral().spec(),
-            rep_bindings(params, 0.1),
-            m,
-            cfg,
-            1e-8,
-        )
-    )
-    idx += 2
-    params = make_rep_params(m.b, alpha=0.5, s=0.3, t=0.2, u_samples=(0.1,))
-    cases.extend(
-        _consistency_pair(
-            idx,
-            "kac",
-            kac_rhs_integral().spec(),
-            rep_bindings(params, 0.1),
-            m,
-            cfg,
-            1e-7,
-        )
-    )
-    return SuiteReport(
-        suite="consistency",
-        b=complex(m.b),
-        alpha=alpha,
-        tol=None,
-        cases=cases,
-        config={},
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+        for family, spec, bindings, rel_tol in families:
+            # Serial on purpose: strip values depend on which points share a
+            # batch, so the integrals must run in the same order every run.
+            # A pair integrates its base value once, in its first case.
+            pair = cache(partial(_consistency_pair, spec, bindings, m, cfg, rel_tol))
+            out += [
+                _Case(f"{family} {variant}", {}, lambda pair=pair, k=k: pair()[k])
+                for k, variant in enumerate(("contour-deformed", "truncation-doubled"))
+            ]
+        return out
+
+    return _run("consistency", b, cases, alpha=alpha, tol=None, config={})
 
 
 # ---------------------------------------------------------------------------
 # Registry
 
 
-SUITES = {
-    "reflection": run_reflection,
-    "funceq": run_funceq,
-    "product-oracle": run_product_oracle,
-    "pole-limits": run_pole_limits,
-    "tau-binomial": run_tau_binomial,
-    "six-nine": run_six_nine,
-    "theorem31-exact": run_theorem31_exact,
-    "q-binomial": run_q_binomial,
-    "kac": run_kac,
-    "consistency": run_consistency,
+@dataclass(frozen=True)
+class _Suite:
+    run: Callable[..., SuiteReport]
+    small: dict = field(default_factory=dict)  # arguments of the small grid
+    seeded: bool = False  # takes run_suite's seed
+
+
+_TABLE = {
+    "reflection": _Suite(run_reflection, {"n": 4}),
+    "funceq": _Suite(run_funceq),
+    "product-oracle": _Suite(run_product_oracle, {"n": 6}),
+    "pole-limits": _Suite(run_pole_limits),
+    "tau-binomial": _Suite(run_tau_binomial, {"n": 2}),
+    "six-nine": _Suite(run_six_nine, {"n_random": 2}, seeded=True),
+    "theorem31-exact": _Suite(run_theorem31_exact, {"n": 3}, seeded=True),
+    "q-binomial": _Suite(run_q_binomial),
+    "kac": _Suite(run_kac, {"tuples": _KAC_TUPLES[0.8][:2]}),
+    "consistency": _Suite(run_consistency),
 }
 
-_SMALL_GRID = {
-    "reflection": {"n": 4},
-    "product-oracle": {"n": 6},
-    "tau-binomial": {"n": 2},
-    "six-nine": {"n_random": 2},
-    "theorem31-exact": {"n": 3},
-    "kac": {"tuples": _KAC_TUPLES[0.8][:2]},
-}
+SUITES = {name: suite.run for name, suite in _TABLE.items()}
 
 
 def run_suite(
@@ -898,24 +741,18 @@ def run_suite(
     cfg: EvalConfig | None = None,
 ) -> SuiteReport:
     """Dispatch one named suite with per-suite defaults for omitted options."""
-    if name not in SUITES:
-        raise KeyError(name)
-    fn = SUITES[name]
-    kwargs = {}
-    if b is not None:
-        kwargs["b"] = b
-    if alpha is not None:
-        kwargs["alpha"] = alpha
-    if tol is not None:
-        kwargs["tol"] = tol
-    if seed is not None and name in ("six-nine", "theorem31-exact"):
-        kwargs["seed"] = seed
-    if threads is not None:
-        kwargs["threads"] = threads
-    if cfg is not None:
-        kwargs["cfg"] = cfg
-    if grid == "small":
-        kwargs.update(_SMALL_GRID.get(name, {}))
-    elif grid != "default":
+    suite = _TABLE[name]
+    if grid not in ("default", "small"):
         raise ValueError(f"unknown grid {grid!r}")
-    return fn(**kwargs)
+    given = {
+        "b": b,
+        "alpha": alpha,
+        "tol": tol,
+        "seed": seed if suite.seeded else None,
+        "threads": threads,
+        "cfg": cfg,
+    }
+    kwargs = {k: v for k, v in given.items() if v is not None}
+    if grid == "small":
+        kwargs.update(suite.small)
+    return suite.run(**kwargs)

@@ -68,6 +68,15 @@ def test_unsupported_parameters_exit_code(capsys):
     assert "unsupported" in err.lower()
 
 
+def test_resonant_modulus_exit_code(capsys):
+    # At b = 1 the residue limits are ill-defined (q^-2 = 1): the suite is
+    # refused before any case runs.
+    code, out, err = run(capsys, "verify", "--suite", "pole-limits", "--b", "1")
+    assert code == EXIT_UNSUPPORTED
+    assert out == ""
+    assert "unsupported" in err.lower()
+
+
 def test_product_oracle_runs_with_complex_modulus(capsys):
     code, out, _ = run(
         capsys,

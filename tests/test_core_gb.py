@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from qdilog import core
 from qdilog.core import (
     EvalConfig,
     as_modulus,
+    clear_cache,
     func_eq_general,
     gb_asymptotic,
     gb_eval,
@@ -28,6 +30,7 @@ from qdilog.errors import (
     PoleProximityError,
     UnsupportedParameterError,
 )
+from qdilog.suites import run_six_nine
 
 B_VALUES = [0.8, 0.6, 1.0, 0.6 + 0.1j]
 
@@ -189,6 +192,29 @@ def test_asymptotics_match_quadrature_near_threshold():
     down = gb_eval(z.conjugate(), m, EvalConfig(asym_threshold=50.0))
     down_a = gb_eval(z.conjugate(), m, EvalConfig(asym_threshold=1.0))
     assert rel(down, down_a) < 1e-9
+
+
+def test_cache_keeps_asymptotic_thresholds_apart():
+    # At Im z = 3 the asymptotic law is about 1.6e-7 off; a log cached under
+    # one threshold must not answer for another.
+    m = as_modulus(0.8)
+    z = 0.5 + 3.0j
+    clear_cache()
+    quad = gb_eval(z, m, EvalConfig(asym_threshold=100.0))
+    clear_cache()
+    asym = gb_eval(z, m, EvalConfig(asym_threshold=1.0))
+    assert rel(asym, quad) > 1e-8
+    assert gb_eval(z, m, EvalConfig(asym_threshold=100.0)) == quad
+
+
+def test_suite_survives_cache_overflow(monkeypatch):
+    # Past the cap the cache is cleared between a call's lookups and its
+    # reads; each call must still use the logs it looked up.
+    monkeypatch.setattr(core, "_CACHE_CAP", 50)
+    for _ in range(2):
+        rep = run_six_nine(threads=1, n_random=2)
+        assert [c.detail for c in rep.cases if c.flags] == []
+        assert rep.passed
 
 
 def test_asymptotic_direction_values_disagree_off_axis():
