@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,37 +114,28 @@ def as_modulus(b) -> ModulusParam:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Accuracy and strategy knobs for direct evaluation.
+    """Accuracy settings for direct evaluation.
 
     rel_tol is the relative accuracy driven for G_b values; trunc_margin
     adds that many extra decades to tail truncation so the cutoff error
     stays well below the quadrature budget.  precision="extended" runs the
-    strip integrand in long-double complex arithmetic.  pole_eps/zero_eps
-    are the absolute snap distances for raising PoleProximityError and for
-    returning an exact 0; asym_threshold switches to the vertical
-    asymptotics once min(Re b, Re 1/b) * |Im z| exceeds it.
+    strip integrand in long-double complex arithmetic.
     """
 
     rel_tol: float = 1e-10
-    abs_floor: float = 1e-13
-    max_refine: int = 12
     trunc_margin: float = 2.0
     precision: str = "standard"
-    pole_eps: float = 1e-12
-    zero_eps: float = 1e-12
-    asym_threshold: float = 8.0
 
     def cache_key(self) -> tuple:
-        return (
-            self.rel_tol,
-            self.trunc_margin,
-            self.max_refine,
-            self.precision,
-            self.asym_threshold,
-        )
+        return (self.rel_tol, self.trunc_margin, self.precision)
 
 
 _DEFAULT_CFG = EvalConfig()
+# Absolute snap distances: raise PoleProximityError, or return an exact 0.
+_POLE_EPS = 1e-12
+_ZERO_EPS = 1e-12
+# The vertical asymptotics answer once min(Re b, Re 1/b) * |Im z| reaches this.
+_ASYM_THRESHOLD = 8.0
 
 
 def one_minus_exp(w):
@@ -368,25 +359,8 @@ def _log_gb_strip_batch(
     ctype = np.clongdouble if cfg.precision == "extended" else np.complex128
     fbatch = _strip_fbatch(np.asarray(z0s, dtype=complex), m, ctype)
     res = integrate_batch(
-        fbatch,
-        segments,
-        panels,
-        rel_tol=0.0,
-        abs_floor=0.5 * cfg.rel_tol,
-        max_rounds=cfg.max_refine,
+        fbatch, segments, panels, rel_tol=0.0, abs_floor=0.5 * cfg.rel_tol
     )
-    if not res.converged.all():
-        bad = np.nonzero(~res.converged)[0]
-        worst = int(bad[np.argmax(res.errors[bad])])
-        raise ConvergenceError(
-            value=res.values,
-            achieved_error=float(res.errors[worst]),
-            target=0.5 * cfg.rel_tol,
-            message=(
-                f"strip integral unconverged for {len(bad)} of {len(z0s)} "
-                f"points; worst error {res.errors[worst]:.3e}"
-            ),
-        )
     log_zeta_bar = -m.log_zeta
     return log_zeta_bar - np.asarray(res.values, dtype=complex)
 
@@ -409,8 +383,8 @@ def log_gb_strip(z0s, b, cfg: EvalConfig | None = None) -> np.ndarray:
         raise StripDomainError("argument outside the open strip 0 < Re z < Re Q")
     out = np.empty(len(pts), dtype=complex)
     scale = m.min_re_step
-    up = scale * pts.imag >= cfg.asym_threshold
-    down = scale * pts.imag <= -cfg.asym_threshold
+    up = scale * pts.imag >= _ASYM_THRESHOLD
+    down = scale * pts.imag <= -_ASYM_THRESHOLD
     out[up] = -m.log_zeta
     # Scalar arithmetic: numpy's vectorised complex product may fuse a
     # multiply and an add, so its last bits depend on the CPU it runs on.
@@ -456,8 +430,10 @@ def _sorted_unique(values):
 def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     """G_b at many points, sharing reductions, quadrature batches and cache.
 
-    Raises PoleProximityError within pole_eps of a pole; returns exactly 0
-    within zero_eps of a zero.
+    Raises PoleProximityError within 1e-12 of a pole and returns exactly 0
+    within 1e-12 of a zero.  Never returns NaN or infinity: where a value
+    leaves double range (far from the strip, e.g. Re z = 1000 at b = 0.8)
+    it raises UnsupportedParameterError naming the first such point.
     """
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
@@ -475,10 +451,10 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
         # imaginary parts cannot be near either lattice.
         if not (real_b and abs(z.imag) > 0.5):
             pole, d = _pole_distance(z, m)
-            if d < cfg.pole_eps:
+            if d < _POLE_EPS:
                 raise PoleProximityError(z, pole, d)
             _, d = _zero_distance(z, m)
-            if d < cfg.zero_eps:
+            if d < _ZERO_EPS:
                 results[z] = 0j
                 continue
         reductions[z] = strip_reduce(z, m)
@@ -504,6 +480,12 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     for z, idxs in positions.items():
         for i in idxs:
             out[i] = results[z]
+    bad = np.nonzero(~np.isfinite(out))[0]
+    if len(bad):
+        raise UnsupportedParameterError(
+            f"G_b(z) at z = {zs[bad[0]]}, b = {m.b} is not finite in double "
+            f"precision"
+        )
     return out
 
 
@@ -516,9 +498,11 @@ def gb_eval(z: complex, b, cfg: EvalConfig | None = None) -> complex:
 # Independent product representation (decaying only for Im b^2 > 0)
 
 
-def gb_product_oracle(
-    x: complex, b, rel_tol: float = 1e-12, max_terms: int = 200_000
-) -> complex:
+_ORACLE_REL_TOL = 1e-12
+_ORACLE_MAX_TERMS = 200_000
+
+
+def gb_product_oracle(x: complex, b) -> complex:
     """G_b via its double infinite product, a route independent of quadrature.
 
         G_b(x) = zeta_bar * prod_{n>=1}(1 - e^{2 pi i (x - n/b)/b})
@@ -526,7 +510,7 @@ def gb_product_oracle(
 
     Both products converge geometrically only when Im(b^2) > 0; other moduli
     are refused.  Truncation stops once the remaining factors are bounded
-    below rel_tol / 10.
+    below 1e-13.
     """
     m = as_modulus(b)
     if not ((m.b * m.b).imag > 0.0):
@@ -552,17 +536,17 @@ def gb_product_oracle(
     ):
         u = first
         q_abs = abs(ratio)
-        for _ in range(max_terms):
+        for _ in range(_ORACLE_MAX_TERMS):
             total += sign * log1m(u)
             u = u * ratio
             bound = abs(u) / ((1.0 - q_abs) * max(1.0 - abs(u), 1e-3))
-            if bound < rel_tol / 10.0:
+            if bound < _ORACLE_REL_TOL / 10.0:
                 break
         else:
             raise ConvergenceError(
                 value=None,
                 achieved_error=float("nan"),
-                target=rel_tol,
+                target=_ORACLE_REL_TOL,
                 message="product truncation did not reach its bound",
             )
     return m.zeta_bar * cmath.exp(total)

@@ -78,6 +78,8 @@ _I = GR_I
 _HALF_I = GaussRat(Fraction(0), Fraction(1, 2))
 _MINUS_I = GaussRat(Fraction(0), Fraction(-1))
 _TWO_I = GaussRat(Fraction(0), Fraction(2))
+# Closest a make_rep_params argument may come to a pole or zero of G_b.
+_LATTICE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -425,14 +427,14 @@ def make_rep_params(
     t: float = 0.2,
     p: float = 0.7,
     u_samples: tuple = (0.1, -0.23),
-    margin: float = 1e-3,
     **labels,
 ) -> RepParams:
     """Bundle representation labels, refusing degenerate combinations.
 
     Every dilogarithm argument appearing in the product law's two sides
-    (at each u sample) must stay at least `margin` away from both the pole
-    and the zero lattice, otherwise the numeric comparison is meaningless.
+    (at each u sample) must stay at least _LATTICE_MARGIN away from both
+    the pole and the zero lattice, otherwise the numeric comparison is
+    meaningless.
     """
     m = as_modulus(b)
     params = RepParams(
@@ -445,7 +447,7 @@ def make_rep_params(
             for f in sym.factors:
                 z = f.argument.evaluate(bindings)
                 d = _lattice_distance(z, m)
-                if d < margin:
+                if d < _LATTICE_MARGIN:
                     raise DegenerateParameterError(
                         f"argument {z} sits {d:.2e} from a pole/zero lattice "
                         f"point; pick different representation labels"

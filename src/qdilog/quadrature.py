@@ -58,6 +58,11 @@ WEIGHTS7[[3, 11]] = _WG[1]
 WEIGHTS7[[5, 9]] = _WG[2]
 WEIGHTS7[7] = _WG[3]
 
+# Refinement budget: bisection rounds, total panels, and panels split per round.
+_MAX_ROUNDS = 12
+_MAX_PANELS = 4000
+_SPLIT_CAP = 128
+
 
 @dataclass(frozen=True)
 class Line:
@@ -96,15 +101,13 @@ Segment = Line | Arc
 
 @dataclass
 class BatchQuadResult:
-    """Outcome of one batched contour integration.
+    """Outcome of one converged batched contour integration.
 
-    values/errors are aligned with the batch axis of the integrand callback;
-    converged marks which elements met their tolerance.
+    values/errors are aligned with the batch axis of the integrand callback.
     """
 
     values: np.ndarray
     errors: np.ndarray
-    converged: np.ndarray
     n_panels: int
     n_evals: int
 
@@ -121,9 +124,6 @@ def integrate_batch(
     initial_panels: Sequence[int],
     rel_tol: float,
     abs_floor: float = 0.0,
-    max_rounds: int = 12,
-    max_panels: int = 4000,
-    split_cap: int = 128,
 ) -> BatchQuadResult:
     """Integrate a batch of functions along a piecewise contour.
 
@@ -132,7 +132,9 @@ def integrate_batch(
     driven to err <= max(rel_tol * |value|, abs_floor), where err is the
     root-sum-square of per-panel Kronrod-minus-Gauss differences.  Panels
     whose error exceeds an equal-share threshold are bisected, worst first,
-    until everything converges or the panel/round budget runs out.
+    until everything converges or the panel/round budget runs out.  Raises
+    ConvergenceError naming the worst unconverged element, its error and its
+    target, if any element misses its target.
     """
     if len(segments) != len(initial_panels):
         raise ValueError("need one initial panel count per segment")
@@ -176,7 +178,7 @@ def integrate_batch(
 
     k15, err, n_evals = evaluate(seg_arr, cen_arr, half_arr)
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         values = k15.sum(axis=1)
         total_err = np.sqrt((err**2).sum(axis=1))
         targets = np.maximum(rel_tol * np.abs(values), abs_floor)
@@ -184,7 +186,7 @@ def integrate_batch(
         if not bad.any():
             break
         n_p = k15.shape[1]
-        if n_p >= max_panels:
+        if n_p >= _MAX_PANELS:
             break
         # Equal-share threshold: if every panel stays below target/sqrt(P),
         # the RSS total meets the target.
@@ -197,15 +199,15 @@ def integrate_batch(
             # Errors are spread too evenly to pick offenders; split the
             # largest contributors of the unconverged elements.
             contrib = np.where(bad[:, None], err, 0.0).max(axis=0)
-            to_split = np.argsort(contrib)[-min(split_cap, n_p) :]
+            to_split = np.argsort(contrib)[-min(_SPLIT_CAP, n_p) :]
             to_split = to_split[contrib[to_split] > 0]
             if len(to_split) == 0:
                 break
-        if len(to_split) > split_cap:
+        if len(to_split) > _SPLIT_CAP:
             order = np.argsort(panel_score[to_split])
-            to_split = to_split[order[-split_cap:]]
-        if n_p + len(to_split) > max_panels:
-            to_split = to_split[: max(0, max_panels - n_p)]
+            to_split = to_split[order[-_SPLIT_CAP:]]
+        if n_p + len(to_split) > _MAX_PANELS:
+            to_split = to_split[: max(0, _MAX_PANELS - n_p)]
             if len(to_split) == 0:
                 break
 
@@ -229,34 +231,23 @@ def integrate_batch(
     values = k15.sum(axis=1)
     total_err = np.sqrt((err**2).sum(axis=1))
     targets = np.maximum(rel_tol * np.abs(values), abs_floor)
-    converged = total_err <= targets
+    # Written so that a NaN error counts as a failure.
+    bad = np.nonzero(~(total_err <= targets))[0]
+    if len(bad):
+        worst = int(bad[np.argmax(total_err[bad])])
+        raise ConvergenceError(
+            value=values,
+            achieved_error=float(total_err[worst]),
+            target=float(targets[worst]),
+            message=(
+                f"{len(bad)} of {len(values)} integrals unconverged; worst is "
+                f"element {worst} at error {total_err[worst]:.3e} "
+                f"(target {targets[worst]:.3e})"
+            ),
+        )
     return BatchQuadResult(
         values=values,
         errors=total_err,
-        converged=converged,
         n_panels=k15.shape[1],
         n_evals=n_evals,
     )
-
-
-def integrate_batch_checked(*args, **kwargs) -> BatchQuadResult:
-    """Like integrate_batch but raises ConvergenceError on any failure."""
-    res = integrate_batch(*args, **kwargs)
-    if not res.converged.all():
-        bad = np.nonzero(~res.converged)[0]
-        worst = int(bad[np.argmax(res.errors[bad])])
-        raise ConvergenceError(
-            value=res.values,
-            achieved_error=float(res.errors[worst]),
-            target=float(
-                max(
-                    kwargs.get("rel_tol", 0.0) * abs(res.values[worst]),
-                    kwargs.get("abs_floor", 0.0),
-                )
-            ),
-            message=(
-                f"{len(bad)} of {len(res.values)} integrals unconverged; "
-                f"worst error {res.errors[worst]:.3e}"
-            ),
-        )
-    return res

@@ -624,10 +624,9 @@ def _consistency_pair(spec, bindings, m, cfg, rel_tol) -> list:
         integrate_contour(spec, bindings, m, contour=c, cfg=cfg, rel_tol=rel_tol)
         for _, c in variants
     ]
-    # Both cases are scaled by the larger of the base and deformed values.
-    scale = max(abs(res0.value), abs(alts[0].value), 1e-300)
     outcomes = []
     for (inputs, _), res in zip(variants, alts):
+        scale = max(abs(res0.value), abs(res.value), 1e-300)
         dev = abs(res0.value - res.value)
         bound = res0.err_estimate + res.err_estimate + 1e-14 * scale
         outcomes.append({

@@ -13,7 +13,9 @@ from qdilog.cli import (
     main,
     parse_complex,
 )
-from qdilog.core import as_modulus
+from qdilog import core, quadrature
+from qdilog.core import as_modulus, gb_eval
+from qdilog.errors import ConvergenceError
 from qdilog.reports import EVAL_CSV_COLUMNS, VERIFY_CSV_COLUMNS
 
 
@@ -242,3 +244,27 @@ def test_command_line_overrides_config_file(tmp_path, capsys):
     )
     assert code == EXIT_NUMERIC
     assert json.loads(out)["tol"] == 1e-13
+
+
+def test_eval_out_of_range_value_is_an_error_row(capsys):
+    # |G_b(1000 - 0.3i)| at b = 0.8 leaves double range: the row is flagged
+    # and empty instead of carrying NaN.
+    code, out, _ = run(
+        capsys, "eval", "--what", "Gb", "--points", "1000-0.3i", "--format", "json"
+    )
+    assert code == EXIT_PASS
+    row = json.loads(out)["rows"][0]
+    assert "error" in row["flags"]
+    assert row["value"] is None
+    assert "UnsupportedParameterError" in row["detail"]
+
+
+def test_strip_quadrature_failure_is_a_typed_error(monkeypatch, capsys):
+    # With no refinement rounds the strip integral misses its target; that
+    # must surface as ConvergenceError and as exit code 1.
+    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", 0)
+    monkeypatch.setattr(core, "_LOG_CACHE", {})
+    with pytest.raises(ConvergenceError):
+        gb_eval(0.3 + 0.2j, 0.8)
+    code, _, _ = run(capsys, "verify", "--suite", "reflection", "--grid", "small")
+    assert code == EXIT_NUMERIC

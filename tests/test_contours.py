@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from qdilog import suites
 from qdilog.contour import (
     ContourSpec,
+    IntegrationResult,
     integrate_contour,
     plan_contour,
     pole_sequences,
@@ -173,3 +175,24 @@ def test_truncation_doubling_stays_within_budget():
     )
     budget = base.err_estimate + doubled.err_estimate + 1e-13 * abs(base.value)
     assert abs(base.value - doubled.value) <= budget
+
+
+def test_consistency_cases_scale_by_the_values_they_compare(monkeypatch):
+    # Base 1, deformed 10, truncation-doubled 1 + 1e-3: each case's relative
+    # deviation is taken against its own two values.
+    values = iter([1.0, 10.0, 1.0 + 1e-3])
+
+    def stub(*args, **kwargs):
+        return IntegrationResult(
+            value=complex(next(values)),
+            err_estimate=0.0,
+            truncation=(1.0, 1.0),
+            n_panels=0,
+            n_evals=0,
+            contour=ContourSpec(baseline=0.0),
+        )
+
+    monkeypatch.setattr(suites, "integrate_contour", stub)
+    deformed, doubled = suites._consistency_pair(None, {}, M8, None, 1e-8)
+    assert deformed["deviation"] == pytest.approx(9.0 / 10.0, rel=1e-12)
+    assert doubled["deviation"] == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-12)

@@ -10,7 +10,6 @@ from qdilog import core
 from qdilog.core import (
     EvalConfig,
     as_modulus,
-    clear_cache,
     func_eq_general,
     gb_asymptotic,
     gb_eval,
@@ -182,29 +181,14 @@ def test_small_gb_rejects_zero():
 
 
 def test_asymptotics_match_quadrature_near_threshold():
-    # Just below the switch the strip integral is still used; just above,
-    # the asymptotic branch.  Force both on the same point and compare.
+    # Just above the switch G_b is answered by the asymptotic laws; the strip
+    # integral at the same points must agree with them.
     m = as_modulus(0.8)
     z = 0.4 * m.Q + 11.0j
-    low = gb_eval(z, m, EvalConfig(asym_threshold=50.0))
-    high = gb_eval(z, m, EvalConfig(asym_threshold=1.0))
-    assert rel(low, high) < 1e-9
-    down = gb_eval(z.conjugate(), m, EvalConfig(asym_threshold=50.0))
-    down_a = gb_eval(z.conjugate(), m, EvalConfig(asym_threshold=1.0))
-    assert rel(down, down_a) < 1e-9
-
-
-def test_cache_keeps_asymptotic_thresholds_apart():
-    # At Im z = 3 the asymptotic law is about 1.6e-7 off; a log cached under
-    # one threshold must not answer for another.
-    m = as_modulus(0.8)
-    z = 0.5 + 3.0j
-    clear_cache()
-    quad = gb_eval(z, m, EvalConfig(asym_threshold=100.0))
-    clear_cache()
-    asym = gb_eval(z, m, EvalConfig(asym_threshold=1.0))
-    assert rel(asym, quad) > 1e-8
-    assert gb_eval(z, m, EvalConfig(asym_threshold=100.0)) == quad
+    for w, direction in ((z, "up"), (z.conjugate(), "down")):
+        quad = cmath.exp(core._log_gb_strip_batch(np.array([w]), m, EvalConfig())[0])
+        assert rel(quad, gb_asymptotic(w, m, direction)) < 1e-9
+        assert rel(gb_eval(w, m), gb_asymptotic(w, m, direction)) < 1e-13
 
 
 def test_suite_survives_cache_overflow(monkeypatch):
