@@ -80,7 +80,6 @@ from .operators import (
     weyl_power,
 )
 from .identities import (
-    IdentityCheck,
     six_nine_check,
     six_nine_integrand,
     tau_binomial_check,

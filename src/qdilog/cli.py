@@ -6,9 +6,10 @@ Two subcommands:
   qdilog verify --suite reflection|funceq|...           [--b ...] [...]
 
 Options can come from a JSON config file (--config) with the same keys as
-the flags; flags win.  Exit codes: 0 all cases pass, 1 numeric failure,
-2 unsupported configuration, 3 usage error.  Reports print to stdout and,
-with --out, are also written to a file.
+the flags, checked the same way before anything runs; flags win.  Exit
+codes: 0 all cases pass, 1 numeric failure, 2 unsupported configuration,
+3 usage error.  Reports print to stdout and, with --out, are also written
+to a file.
 """
 
 from __future__ import annotations
@@ -54,6 +55,48 @@ def parse_complex(text: str) -> complex:
     raise ValueError(f"cannot parse {text!r} as a complex number")
 
 
+def _real(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _integer(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, (str, int)):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _complex(v) -> complex:
+    """Text, a real number, or a [re, im] pair."""
+    if isinstance(v, str):
+        return parse_complex(v)
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return complex(_real(v[0]), _real(v[1]))
+    return complex(_real(v))
+
+
+def _text(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {v!r}")
+    return v
+
+
+# Every RunConfig option: (converter, allowed values or None, flag help).
+# Flag values and config-file values both go through _option_value.
+_OPTIONS = {
+    "b": (_complex, None, "modulus b (complex)"),
+    "alpha": (_real, None, None),
+    "tol": (_real, None, "suite tolerance"),
+    "rel_tol": (_real, None, "engine relative tolerance"),
+    "seed": (_integer, None, None),
+    "threads": (_integer, None, None),
+    "format": (_text, ("json", "csv", "pretty"), None),
+    "out": (_text, None, None),
+    "grid": (_text, ("default", "small"), None),
+}
+
+
 @dataclass
 class RunConfig:
     """Serializable bundle of every knob the CLI accepts."""
@@ -86,25 +129,32 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(d) - known
+        unknown = set(d) - set(_OPTIONS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kw = dict(d)
-        if "b" in kw:
-            v = kw["b"]
-            if isinstance(v, str):
-                kw["b"] = parse_complex(v)
-            elif isinstance(v, (list, tuple)):
-                kw["b"] = complex(v[0], v[1])
-            else:
-                kw["b"] = complex(v)
-        return RunConfig(**kw)
+        return RunConfig(**{k: _option_value(k, v) for k, v in d.items()})
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return RunConfig.from_dict(json.load(fh))
+
+
+_NULLABLE = {f.name for f in fields(RunConfig) if f.default is None}
+
+
+def _option_value(name: str, v):
+    """Convert and check one option value; ValueError if it is not allowed."""
+    if v is None and name in _NULLABLE:
+        return None
+    convert, choices, _ = _OPTIONS[name]
+    try:
+        v = convert(v)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if choices is not None and v not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(choices)}; got {v!r}")
+    return v
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,19 +168,15 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="qdilog", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
+    def add_option(parser, name):
+        _, choices, help_text = _OPTIONS[name]
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, default=None, choices=choices, help=help_text)
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--b", type=str, default=None, help="modulus b (complex)")
-    common.add_argument("--alpha", type=float, default=None)
-    common.add_argument("--tol", type=float, default=None, help="suite tolerance")
-    common.add_argument(
-        "--rel-tol", type=float, default=None, help="engine relative tolerance"
-    )
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
-    common.add_argument(
-        "--format", choices=["json", "csv", "pretty"], default=None
-    )
-    common.add_argument("--out", type=str, default=None)
+    for name in _OPTIONS:
+        if name != "grid":  # verify only
+            add_option(common, name)
     common.add_argument("--config", type=str, default=None, help="JSON config file")
 
     pe = sub.add_parser("eval", parents=[common], help="tabulate function values")
@@ -144,28 +190,16 @@ def _build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", parents=[common], help="run an identity suite")
     pv.add_argument("--suite", choices=sorted(SUITES), required=True)
-    pv.add_argument("--grid", choices=["default", "small"], default=None)
+    add_option(pv, "grid")
     return p
 
 
 def _merge_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        "alpha": args.alpha,
-        "tol": args.tol,
-        "rel_tol": args.rel_tol,
-        "seed": args.seed,
-        "threads": args.threads,
-        "format": args.format,
-        "out": args.out,
-    }
-    if args.b is not None:
-        cfg.b = parse_complex(args.b)
-    if getattr(args, "grid", None) is not None:
-        cfg.grid = args.grid
-    for k, v in overrides.items():
+    for name in _OPTIONS:
+        v = getattr(args, name, None)  # eval has no --grid
         if v is not None:
-            setattr(cfg, k, v)
+            setattr(cfg, name, _option_value(name, v))
     return cfg
 
 
@@ -190,28 +224,15 @@ def _cmd_eval(args, cfg: RunConfig) -> tuple:
             raise ValueError("eval needs --points for Gb and gb")
         points = [parse_complex(tok) for tok in args.points.split(",") if tok]
         for k, z in enumerate(points):
-            flags = []
-            if args.what == "Gb" and _lattice_distance(z, m) < POLE_FLAG_DISTANCE:
-                flags.append("pole-proximity")
             try:
                 if args.what == "Gb":
                     v = gb_eval(z, m, ecfg)
                 else:
                     v = small_gb(z, m, ecfg)
-                rows.append(
-                    EvalRow(k, z, v, rel * abs(v), flags=tuple(flags))
-                )
             except PoleProximityError as exc:
-                rows.append(
-                    EvalRow(
-                        k,
-                        z,
-                        None,
-                        None,
-                        flags=tuple(flags + ["pole-proximity"]),
-                        detail=str(exc),
-                    )
-                )
+                flags = ("pole-proximity",)
+                rows.append(EvalRow(k, z, None, None, flags=flags, detail=str(exc)))
+                continue
             except QdilogError as exc:
                 rows.append(
                     EvalRow(
@@ -219,10 +240,15 @@ def _cmd_eval(args, cfg: RunConfig) -> tuple:
                         z,
                         None,
                         None,
-                        flags=tuple(flags + ["error"]),
+                        flags=("error",),
                         detail=f"{type(exc).__name__}: {exc}",
                     )
                 )
+                continue
+            # G_b took z, so z is finite and its lattice distance defined.
+            near = args.what == "Gb" and _lattice_distance(z, m) < POLE_FLAG_DISTANCE
+            flags = ("pole-proximity",) if near else ()
+            rows.append(EvalRow(k, z, v, rel * abs(v), flags=flags))
     report = EvalReport(
         what=args.what,
         b=complex(m.b),

@@ -430,10 +430,11 @@ def _sorted_unique(values):
 def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     """G_b at many points, sharing reductions, quadrature batches and cache.
 
-    Raises PoleProximityError within 1e-12 of a pole and returns exactly 0
-    within 1e-12 of a zero.  Never returns NaN or infinity: where a value
-    leaves double range (far from the strip, e.g. Re z = 1000 at b = 0.8)
-    it raises UnsupportedParameterError naming the first such point.
+    Raises ParameterDomainError at a non-finite argument, PoleProximityError
+    within 1e-12 of a pole, and returns exactly 0 within 1e-12 of a zero.
+    Never returns NaN or infinity: where a value leaves double range (far
+    from the strip, e.g. Re z = 1000 at b = 0.8) it raises
+    UnsupportedParameterError naming the first such point.
     """
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
@@ -447,6 +448,8 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     results: dict = {}
     reductions: dict = {}
     for z in positions:
+        if not cmath.isfinite(z):
+            raise ParameterDomainError(f"G_b needs a finite argument, got z = {z}")
         # The pole and zero lattices are real for real b, so distant-enough
         # imaginary parts cannot be near either lattice.
         if not (real_b and abs(z.imag) > 0.5):

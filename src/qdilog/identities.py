@@ -14,16 +14,13 @@ The six-to-nine identity is stated in a bare tau, same story.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .contour import IntegrationResult, integrate_contour
+from .contour import integrate_contour
 from .core import EvalConfig, as_modulus, gb_eval_many
 from .symbolic import GaussRat, IntegrandSpec, Symbol, gauss_from_products, gen
 
 __all__ = [
-    "IdentityCheck",
     "tau_binomial_integrand",
     "tau_binomial_check",
     "six_nine_integrand",
@@ -32,26 +29,6 @@ __all__ = [
 
 _I = GaussRat.of(1j)
 _MINUS_I = GaussRat.of(-1j)
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Engine value vs closed form plus the error budget that produced it."""
-
-    lhs: complex
-    rhs: complex
-    rel_err: float
-    err_estimate: float
-    result: IntegrationResult
-
-    @property
-    def scale(self) -> float:
-        return max(abs(self.lhs), abs(self.rhs))
-
-
-def _relative(a: complex, b: complex) -> float:
-    scale = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / scale
 
 
 def tau_binomial_integrand() -> IntegrandSpec:
@@ -72,8 +49,8 @@ def tau_binomial_check(
     b,
     cfg: EvalConfig | None = None,
     rel_tol: float | None = None,
-) -> IdentityCheck:
-    """Beta-integral check: engine value against G(alpha)G(beta)/G(alpha+beta).
+) -> tuple:
+    """(engine value, G(alpha)G(beta)/G(alpha+beta), IntegrationResult).
 
     Absolute convergence needs Re beta > 0 and Re(alpha + beta) < Re Q;
     outside that wedge the engine refuses the contour rather than guessing.
@@ -83,12 +60,10 @@ def tau_binomial_check(
     res = integrate_contour(
         tau_binomial_integrand(), bindings, m, cfg=cfg, rel_tol=rel_tol
     )
-    lhs = res.value
     ga, gb_, gab = gb_eval_many(
         np.array([alpha, beta, alpha + beta], dtype=complex), m, cfg
     )
-    rhs = ga * gb_ / gab
-    return IdentityCheck(lhs, rhs, _relative(lhs, rhs), res.err_estimate, res)
+    return res.value, ga * gb_ / gab, res
 
 
 def six_nine_integrand() -> IntegrandSpec:
@@ -118,8 +93,8 @@ def six_nine_check(
     b,
     cfg: EvalConfig | None = None,
     rel_tol: float | None = None,
-) -> IdentityCheck:
-    """Six-over-three product of G values against the engine integral."""
+) -> tuple:
+    """(engine value, six-over-three product of G values, IntegrationResult)."""
     m = as_modulus(b)
     bindings = {
         "Q": m.Q,
@@ -129,11 +104,10 @@ def six_nine_check(
         "D": complex(d),
     }
     res = integrate_contour(six_nine_integrand(), bindings, m, cfg=cfg, rel_tol=rel_tol)
-    lhs = res.value
     args = np.array(
         [a, b_arg, c, a + d, b_arg + d, c + d, a + b_arg + d, a + c + d, b_arg + c + d],
         dtype=complex,
     )
     g = gb_eval_many(args, m, cfg)
     rhs = (g[0] * g[1] * g[2] * g[3] * g[4] * g[5]) / (g[6] * g[7] * g[8])
-    return IdentityCheck(lhs, rhs, _relative(lhs, rhs), res.err_estimate, res)
+    return res.value, rhs, res

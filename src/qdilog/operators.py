@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contour import IntegrationResult, integrate_contour
+from .contour import integrate_contour
 from .core import EvalConfig, _lattice_distance, as_modulus
 from .errors import DegenerateParameterError
 from .symbolic import (
@@ -113,18 +113,6 @@ class OpIntegral:
             )
         return IntegrandSpec(self.integrand.symbol, self.variable)
 
-    def integrate(
-        self,
-        bindings,
-        b,
-        contour=None,
-        cfg: EvalConfig | None = None,
-        rel_tol: float | None = None,
-    ) -> IntegrationResult:
-        return integrate_contour(
-            self.spec(), bindings, b, contour=contour, cfg=cfg, rel_tol=rel_tol
-        )
-
 
 def compose(lhs: ShiftOp, rhs: ShiftOp) -> ShiftOp:
     """Operator product lhs o rhs in normal form."""
@@ -174,34 +162,33 @@ def _half_q_plus_i_alpha() -> AffineForm:
     return gen("Q").scale(Fraction(1, 2)) + gen("alpha").scale(_I)
 
 
-def make_E_div(s) -> ShiftOp:
-    """Divided power of the raising generator, exponent i*s with bs = b*s."""
-    x = as_affine(s)
-    u, al = gen("u"), gen("alpha")
-    gauss = gauss_from_products([(x, x, _HALF_I), (x, u, _MINUS_I), (x, al, _I)])
+def _divided_power(x, sign: int) -> ShiftOp:
+    """Divided power of a ladder generator with exponent i*x.
+
+    The raising generator (sign -1) and the lowering one (sign +1) differ
+    only in the sign of the u terms and of the shift.
+    """
+    x = as_affine(x)
+    su = gen("u").scale(sign)
+    gauss = gauss_from_products([(x, x, _HALF_I), (x, su, _I), (x, gen("alpha"), _I)])
     base = _half_q_plus_i_alpha()
     sym = (
         Symbol.from_gauss(gauss)
         * Symbol.gb(x.scale(_MINUS_I))
-        * Symbol.gb(base + x.scale(_I) - u.scale(_I))
-        * Symbol.gb(base - u.scale(_I), -1)
+        * Symbol.gb(base + x.scale(_I) + su.scale(_I))
+        * Symbol.gb(base + su.scale(_I), -1)
     )
-    return ShiftOp(sym, -x)
+    return ShiftOp(sym, x.scale(sign))
+
+
+def make_E_div(s) -> ShiftOp:
+    """Divided power of the raising generator, exponent i*s with bs = b*s."""
+    return _divided_power(s, -1)
 
 
 def make_F_div(t) -> ShiftOp:
     """Divided power of the lowering generator, exponent i*t with bt = b*t."""
-    x = as_affine(t)
-    u = gen("u")
-    gauss = gauss_from_products([(x, x, _HALF_I), (x, u, _I), (x, gen("alpha"), _I)])
-    base = _half_q_plus_i_alpha()
-    sym = (
-        Symbol.from_gauss(gauss)
-        * Symbol.gb(x.scale(_MINUS_I))
-        * Symbol.gb(base + x.scale(_I) + u.scale(_I))
-        * Symbol.gb(base + u.scale(_I), -1)
-    )
-    return ShiftOp(sym, x)
+    return _divided_power(t, +1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +210,21 @@ def verify_KK(p1=None, p2=None) -> bool:
     return lhs == rhs and sw == rhs
 
 
-def verify_KE(p=None, s=None) -> bool:
-    p = _as_arg(p, "bp")
-    s = _as_arg(s, "bs")
-    lhs = compose(make_K_pow(p), make_E_div(s))
-    phase = Symbol.from_gauss(gauss_from_products([(p, s, GaussRat.of(-2j))]))
-    rhs = _times_scalar(compose(make_E_div(s), make_K_pow(p)), phase)
+def _verify_cartan_ladder(sign: int, p, x) -> bool:
+    """K^{ip} X = e^{2 pi i sign (bp)(bx)} X K^{ip} for the divided power X
+    of _divided_power(x, sign)."""
+    lhs = compose(make_K_pow(p), _divided_power(x, sign))
+    phase = Symbol.from_gauss(gauss_from_products([(p, x, _TWO_I * sign)]))
+    rhs = _times_scalar(compose(_divided_power(x, sign), make_K_pow(p)), phase)
     return lhs == rhs
+
+
+def verify_KE(p=None, s=None) -> bool:
+    return _verify_cartan_ladder(-1, _as_arg(p, "bp"), _as_arg(s, "bs"))
 
 
 def verify_KF(p=None, t=None) -> bool:
-    p = _as_arg(p, "bp")
-    t = _as_arg(t, "bt")
-    lhs = compose(make_K_pow(p), make_F_div(t))
-    phase = Symbol.from_gauss(gauss_from_products([(p, t, _TWO_I)]))
-    rhs = _times_scalar(compose(make_F_div(t), make_K_pow(p)), phase)
-    return lhs == rhs
+    return _verify_cartan_ladder(+1, _as_arg(p, "bp"), _as_arg(t, "bt"))
 
 
 def _verify_ladder_product(maker, s1, s2) -> bool:
@@ -386,22 +372,13 @@ def kac_substitution_tuple(params: "RepParams", u_value: complex) -> tuple:
 
 @dataclass(frozen=True)
 class RepParams:
-    """Numeric sample of the representation labels for integral checks.
-
-    s, t, p drive the integral identities; s1/s2/t1/t2 are spare labels for
-    relation checks that need two exponents of the same kind.
-    """
+    """Numeric sample of the representation labels for integral checks."""
 
     b: complex
     alpha: float
     s: float
     t: float
-    p: float
     u_samples: tuple
-    s1: float = 0.3
-    s2: float = 0.5
-    t1: float = 0.2
-    t2: float = 0.7
 
 
 def rep_bindings(params: RepParams, u_value: complex) -> dict:
@@ -412,11 +389,6 @@ def rep_bindings(params: RepParams, u_value: complex) -> dict:
         "u": complex(u_value),
         "bs": m.b * params.s,
         "bt": m.b * params.t,
-        "bp": m.b * params.p,
-        "bs1": m.b * params.s1,
-        "bs2": m.b * params.s2,
-        "bt1": m.b * params.t1,
-        "bt2": m.b * params.t2,
     }
 
 
@@ -425,9 +397,7 @@ def make_rep_params(
     alpha: float = 0.5,
     s: float = 0.3,
     t: float = 0.2,
-    p: float = 0.7,
     u_samples: tuple = (0.1, -0.23),
-    **labels,
 ) -> RepParams:
     """Bundle representation labels, refusing degenerate combinations.
 
@@ -437,9 +407,7 @@ def make_rep_params(
     meaningless.
     """
     m = as_modulus(b)
-    params = RepParams(
-        b=complex(b), alpha=alpha, s=s, t=t, p=p, u_samples=tuple(u_samples), **labels
-    )
+    params = RepParams(b=complex(b), alpha=alpha, s=s, t=t, u_samples=tuple(u_samples))
     static_syms = [kac_lhs().symbol, qbinomial_target()]
     for u_value in params.u_samples:
         bindings = rep_bindings(params, u_value)
@@ -461,15 +429,12 @@ def qbinomial_value(
     cfg: EvalConfig | None = None,
     rel_tol: float | None = None,
     swapped: bool = False,
-    contour=None,
 ) -> tuple:
     """(integral value, target, IntegrationResult) for the binomial expansion."""
     m = as_modulus(params.b)
     opint = qbinomial_integral(swapped=swapped)
-    if opint.integrand.shift != -gen("bs"):
-        raise AssertionError("binomial shift mismatch")
     bindings = rep_bindings(params, u_value)
-    res = opint.integrate(bindings, m, contour=contour, cfg=cfg, rel_tol=rel_tol)
+    res = integrate_contour(opint.spec(), bindings, m, cfg=cfg, rel_tol=rel_tol)
     target = qbinomial_target().evaluate(bindings, m, cfg)
     return res.value, target, res
 
@@ -479,15 +444,12 @@ def kac_values(
     u_value: complex,
     cfg: EvalConfig | None = None,
     rel_tol: float | None = None,
-    contour=None,
 ) -> tuple:
     """(integral value, product value, IntegrationResult) for the E o F law."""
     m = as_modulus(params.b)
     lhs = kac_lhs()
     opint = kac_rhs_integral()
-    if opint.integrand.shift != lhs.shift:
-        raise AssertionError("product law shift mismatch")
     bindings = rep_bindings(params, u_value)
-    res = opint.integrate(bindings, m, contour=contour, cfg=cfg, rel_tol=rel_tol)
+    res = integrate_contour(opint.spec(), bindings, m, cfg=cfg, rel_tol=rel_tol)
     target = lhs.symbol.evaluate(bindings, m, cfg)
     return res.value, target, res

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -80,23 +80,7 @@ class CaseResult:
     contour: dict | None = None
 
     def to_dict(self) -> dict:
-        return _jsonable(
-            {
-                "contour": self.contour,
-                "detail": self.detail,
-                "deviation": self.deviation,
-                "err_estimate": self.err_estimate,
-                "flags": list(self.flags),
-                "index": self.index,
-                "inputs": self.inputs,
-                "label": self.label,
-                "lhs": self.lhs,
-                "mode": self.mode,
-                "passed": self.passed,
-                "rhs": self.rhs,
-                "tol": self.tol,
-            }
-        )
+        return _jsonable({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 @dataclass

@@ -49,7 +49,6 @@ from .core import (
 )
 from .errors import UnsupportedParameterError
 from .identities import (
-    _relative,
     six_nine_check,
     six_nine_integrand,
     tau_binomial_check,
@@ -90,6 +89,10 @@ __all__ = [
 DEFAULT_B = 0.8
 DEFAULT_ALPHA = 0.5
 DEFAULT_SEED = 20260817
+
+# Relative tolerance of the outer contour integral of each identity family;
+# the family's suite and its consistency cases both use it.
+_REL_TOL = {"tau-binomial": 1e-8, "six-nine": 1e-7, "q-binomial": 1e-8, "kac": 1e-7}
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,11 @@ def _contour_meta(res) -> dict:
         "n_panels": res.n_panels,
         "n_evals": res.n_evals,
     }
+
+
+def _relative(a: complex, b: complex) -> float:
+    scale = max(abs(a), abs(b), 1e-300)
+    return abs(a - b) / scale
 
 
 def _compare(lhs, rhs, tol, res=None) -> dict:
@@ -337,7 +345,6 @@ def run_tau_binomial(
     alpha=None,
     tol: float = 1e-6,
     cfg: EvalConfig | None = None,
-    rel_tol: float = 1e-8,
     n: int = 5,
     seed=None,
     threads=None,
@@ -347,13 +354,14 @@ def run_tau_binomial(
     Grid points Q*k/12 for k = 1..n keep every pair inside the absolute
     convergence wedge Re(alpha + beta) < Re Q when n <= 5.
     """
+    rel_tol = _REL_TOL["tau-binomial"]
 
     def cases(m):
         grid = [m.Q * k / 12 for k in range(1, n + 1)]
 
         def check(a, be):
-            chk = tau_binomial_check(a, be, m, cfg=cfg, rel_tol=rel_tol)
-            return _compare(chk.lhs, chk.rhs, tol, chk.result)
+            lhs, rhs, res = tau_binomial_check(a, be, m, cfg=cfg, rel_tol=rel_tol)
+            return _compare(lhs, rhs, tol, res)
 
         return [
             _Case(
@@ -395,13 +403,13 @@ def run_six_nine(
     alpha=DEFAULT_ALPHA,
     tol: float = 1e-5,
     cfg: EvalConfig | None = None,
-    rel_tol: float = 1e-7,
     seed: int = DEFAULT_SEED,
     n_random: int = 10,
     threads=None,
     include_kac_tuple: bool = True,
 ) -> SuiteReport:
     """Six-over-three G ratio vs the contour integral, random + named tuples."""
+    rel_tol = _REL_TOL["six-nine"]
 
     def cases(m):
         rng = np.random.default_rng(seed)
@@ -414,8 +422,8 @@ def run_six_nine(
             entries.append(("kac-substitution", kac_tuple))
 
         def check(a, b_arg, c, d):
-            chk = six_nine_check(a, b_arg, c, d, m, cfg=cfg, rel_tol=rel_tol)
-            return _compare(chk.lhs, chk.rhs, tol, chk.result)
+            lhs, rhs, res = six_nine_check(a, b_arg, c, d, m, cfg=cfg, rel_tol=rel_tol)
+            return _compare(lhs, rhs, tol, res)
 
         return [
             _Case(
@@ -492,11 +500,11 @@ def run_q_binomial(
     alpha=DEFAULT_ALPHA,
     tol: float = 1e-6,
     cfg: EvalConfig | None = None,
-    rel_tol: float = 1e-8,
     seed=None,
     threads=None,
 ) -> SuiteReport:
     """Binomial expansion of (U1+V1)^{is} against the divided-power symbol."""
+    rel_tol = _REL_TOL["q-binomial"]
     tuples = [
         (0.4, alpha, 0.1),
         (0.4, alpha, -0.2),
@@ -550,7 +558,6 @@ def run_kac(
     alpha=None,
     tol: float = 1e-5,
     cfg: EvalConfig | None = None,
-    rel_tol: float = 1e-7,
     seed=None,
     threads=None,
     tuples=None,
@@ -560,6 +567,7 @@ def run_kac(
     Tuples are (s, t, alpha, u); an explicit alpha argument overrides the
     per-tuple weight.
     """
+    rel_tol = _REL_TOL["kac"]
     if tuples is None:
         tuples = _KAC_TUPLES.get(round(float(np.real(b)), 6), _KAC_TUPLES[0.8][:4])
     if alpha is not None:
@@ -681,18 +689,19 @@ def run_consistency(
 
         families = (
             ("tau-binomial", tau_binomial_integrand(),
-             {"Q": m.Q, "alpha": m.Q / 6, "beta": m.Q / 6}, 1e-8),
+             {"Q": m.Q, "alpha": m.Q / 6, "beta": m.Q / 6}),
             ("six-nine", six_nine_integrand(),
-             {"Q": m.Q, "A": m.Q / 6, "B": m.Q / 7, "C": m.Q / 9, "D": m.Q / 4 + 0.1j},
-             1e-7),
-            ("q-binomial", qbinomial_integral().spec(), rep(alpha=alpha, s=0.4), 1e-8),
-            ("kac", kac_rhs_integral().spec(), rep(alpha=0.5, s=0.3, t=0.2), 1e-7),
+             {"Q": m.Q, "A": m.Q / 6, "B": m.Q / 7, "C": m.Q / 9, "D": m.Q / 4 + 0.1j}),
+            ("q-binomial", qbinomial_integral().spec(), rep(alpha=alpha, s=0.4)),
+            ("kac", kac_rhs_integral().spec(), rep(alpha=0.5, s=0.3, t=0.2)),
         )
-        for family, spec, bindings, rel_tol in families:
+        for family, spec, bindings in families:
             # Serial on purpose: strip values depend on which points share a
             # batch, so the integrals must run in the same order every run.
             # A pair integrates its base value once, in its first case.
-            pair = cache(partial(_consistency_pair, spec, bindings, m, cfg, rel_tol))
+            pair = cache(
+                partial(_consistency_pair, spec, bindings, m, cfg, _REL_TOL[family])
+            )
             out += [
                 _Case(f"{family} {variant}", {}, lambda pair=pair, k=k: pair()[k])
                 for k, variant in enumerate(("contour-deformed", "truncation-doubled"))

@@ -31,8 +31,6 @@ __all__ = [
     "GR_ZERO",
     "GR_ONE",
     "GR_I",
-    "register_generator",
-    "generator_index",
     "AffineForm",
     "gen",
     "const",
@@ -116,10 +114,9 @@ GR_ZERO = GaussRat()
 GR_ONE = GaussRat(Fraction(1))
 GR_I = GaussRat(Fraction(0), Fraction(1))
 
-# Canonical generator order; new names are appended on first use so symbol
-# normal forms stay stable within a process.
-_REGISTRY: dict[str, int] = {}
-for _name in (
+# Canonical generator order.  Any other name sorts after these, by name, so
+# a normal form never depends on which names a process met first.
+_GENERATORS = (
     "unit",
     "Q",
     "u",
@@ -139,21 +136,13 @@ for _name in (
     "C",
     "D",
     "beta",
-):
-    _REGISTRY[_name] = len(_REGISTRY)
+)
+_RANKS = {name: (k, name) for k, name in enumerate(_GENERATORS)}
 
 
-def register_generator(name: str) -> int:
-    """Ensure name has a slot in the canonical ordering; return its index."""
-    if not isinstance(name, str) or not name:
-        raise TypeError("generator names are nonempty strings")
-    if name not in _REGISTRY:
-        _REGISTRY[name] = len(_REGISTRY)
-    return _REGISTRY[name]
-
-
-def generator_index(name: str) -> int:
-    return register_generator(name)
+def _rank(name: str) -> tuple:
+    """Sort key of a generator name in the canonical order."""
+    return _RANKS.get(name) or (len(_GENERATORS), name)
 
 
 def _lookup(bindings: Mapping[str, complex], name: str) -> complex:
@@ -169,7 +158,7 @@ def _lookup(bindings: Mapping[str, complex], name: str) -> complex:
 class AffineForm:
     """Exact affine combination sum_k c_k * g_k + c0 of generators."""
 
-    terms: tuple  # ((name, GaussRat), ...) sorted by registry index, no zeros
+    terms: tuple  # ((name, GaussRat), ...) in generator order, no zeros
     const: GaussRat = GR_ZERO
 
     @staticmethod
@@ -180,12 +169,11 @@ class AffineForm:
             if name == "unit":
                 const = GaussRat.of(const) + c
                 continue
-            register_generator(name)
             acc[name] = acc.get(name, GR_ZERO) + c
         cleaned = tuple(
             sorted(
                 ((n, c) for n, c in acc.items() if not c.is_zero()),
-                key=lambda nc: _REGISTRY[nc[0]],
+                key=lambda nc: _rank(nc[0]),
             )
         )
         return AffineForm(cleaned, GaussRat.of(const))
@@ -234,7 +222,7 @@ class AffineForm:
 
     def sort_key(self):
         return (
-            tuple((_REGISTRY[n], c.sort_key()) for n, c in self.terms),
+            tuple((_rank(n), c.sort_key()) for n, c in self.terms),
             self.const.sort_key(),
         )
 
@@ -247,7 +235,8 @@ class AffineForm:
 
 def gen(name: str) -> AffineForm:
     """The affine form consisting of a single generator."""
-    register_generator(name)
+    if not isinstance(name, str) or not name:
+        raise TypeError("generator names are nonempty strings")
     return AffineForm(((name, GR_ONE),), GR_ZERO)
 
 
@@ -288,16 +277,14 @@ class GaussExponent:
         acc: dict[tuple, GaussRat] = {}
         for pair, c in entries:
             a, b = pair
-            register_generator(a)
-            register_generator(b)
-            if _REGISTRY[a] > _REGISTRY[b]:
+            if _rank(a) > _rank(b):
                 a, b = b, a
             c = GaussRat.of(c)
             acc[(a, b)] = acc.get((a, b), GR_ZERO) + c
         cleaned = tuple(
             sorted(
                 ((p, c) for p, c in acc.items() if not c.is_zero()),
-                key=lambda pc: (_REGISTRY[pc[0][0]], _REGISTRY[pc[0][1]]),
+                key=lambda pc: (_rank(pc[0][0]), _rank(pc[0][1])),
             )
         )
         return GaussExponent(cleaned)
@@ -318,9 +305,7 @@ class GaussExponent:
 
     def coeff(self, name1: str, name2: str) -> GaussRat:
         a, b = name1, name2
-        register_generator(a)
-        register_generator(b)
-        if _REGISTRY[a] > _REGISTRY[b]:
+        if _rank(a) > _rank(b):
             a, b = b, a
         for p, c in self.terms:
             if p == (a, b):
@@ -504,7 +489,7 @@ def symbol_equal_exact(a: Symbol, b: Symbol) -> tuple:
     gauss_diff = []
     pairs = {p for p, _ in a.gauss.terms} | {p for p, _ in b.gauss.terms}
     for p in sorted(
-        pairs, key=lambda pr: (generator_index(pr[0]), generator_index(pr[1]))
+        pairs, key=lambda pr: (_rank(pr[0]), _rank(pr[1]))
     ):
         ca, cb = a.gauss.coeff(*p), b.gauss.coeff(*p)
         if ca != cb:

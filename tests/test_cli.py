@@ -259,6 +259,33 @@ def test_eval_out_of_range_value_is_an_error_row(capsys):
     assert "UnsupportedParameterError" in row["detail"]
 
 
+def test_eval_non_finite_point_is_an_error_row(capsys):
+    code, out, _ = run(
+        capsys, "eval", "--what", "Gb", "--points", "inf,0.5,nan", "--format", "json"
+    )
+    assert code == EXIT_PASS
+    rows = json.loads(out)["rows"]
+    for row in (rows[0], rows[2]):
+        assert row["flags"] == ["error"]
+        assert row["value"] is None
+        assert "ParameterDomainError" in row["detail"]
+    assert rows[1]["flags"] == [] and rows[1]["value"] is not None
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"format": "xml"}, {"b": [0.8]}, {"b": None}, {"tol": "x"}, {"seed": 1.5},
+     {"grid": "huge"}, {"out": 3}],
+)
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    code, out, err = run(capsys, "verify", "--suite", "funceq", "--config", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""  # refused before the suite ran
+    assert err.startswith("usage error")
+
+
 def test_strip_quadrature_failure_is_a_typed_error(monkeypatch, capsys):
     # With no refinement rounds the strip integral misses its target; that
     # must surface as ConvergenceError and as exit code 1.

@@ -155,7 +155,7 @@ def test_bumped_contour_integrates_without_tripping_pole_guard():
     # arc instead of sampling the bumped pole on the baseline.
     params = make_rep_params(0.8, alpha=0.5, s=0.4, u_samples=(0.1,))
     opint = qbinomial_integral()
-    res = opint.integrate(rep_bindings(params, 0.1), M8, rel_tol=1e-8)
+    res = integrate_contour(opint.spec(), rep_bindings(params, 0.1), M8, rel_tol=1e-8)
     assert np.isfinite(res.value.real) and np.isfinite(res.value.imag)
     assert res.err_estimate < 1e-6 * abs(res.value)
 

@@ -139,6 +139,16 @@ def test_pole_proximity_raises():
         gb_eval(-as_modulus(0.8).b, 0.8)
 
 
+@pytest.mark.parametrize(
+    "z", [complex("nan"), complex("inf"), complex(0.3, float("-inf"))]
+)
+def test_non_finite_argument_is_a_typed_error(z):
+    with pytest.raises(ParameterDomainError, match="finite argument"):
+        gb_eval(z, 0.8)
+    with pytest.raises(ParameterDomainError, match="finite argument"):
+        gb_eval_many([0.5, z, complex("nan")], 0.8)
+
+
 def test_zero_lattice_returns_exact_zero():
     m = as_modulus(0.8)
     assert gb_eval(m.Q, m) == 0.0

@@ -171,9 +171,10 @@ def test_operator_integral_requires_variable_free_shift():
 
 
 def test_binomial_integrand_shift_and_phase():
-    opint = qbinomial_integral()
-    assert opint.integrand.shift == -gen("bs")
-    assert opint.integrand.symbol.gauss.coeff("btau", "btau") == GaussRat.of(1j)
+    for swapped in (False, True):
+        opint = qbinomial_integral(swapped=swapped)
+        assert opint.integrand.shift == -gen("bs")
+        assert opint.integrand.symbol.gauss.coeff("btau", "btau") == GaussRat.of(1j)
 
 
 def test_composition_integrand_shift_is_variable_free():
