@@ -304,10 +304,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     text = render(report, cfg.format)
-    sys.stdout.write(text)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"usage error: --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    sys.stdout.write(text)
     return code
 
 

@@ -13,7 +13,7 @@ from qdilog.cli import (
     main,
     parse_complex,
 )
-from qdilog import core, quadrature
+from qdilog import core
 from qdilog.core import as_modulus, gb_eval
 from qdilog.errors import ConvergenceError
 from qdilog.reports import EVAL_CSV_COLUMNS, VERIFY_CSV_COLUMNS
@@ -286,10 +286,17 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys, values):
     assert err.startswith("usage error")
 
 
+def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "eval", "--what", "zeta", "--out", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert "usage error: --out:" in err
+    assert out == ""
+
+
 def test_strip_quadrature_failure_is_a_typed_error(monkeypatch, capsys):
-    # With no refinement rounds the strip integral misses its target; that
-    # must surface as ConvergenceError and as exit code 1.
-    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", 0)
+    # With a step five times too coarse the strip sum fails its step-2h
+    # check; that must surface as ConvergenceError and as exit code 1.
+    monkeypatch.setattr(core, "_TRAP_DEPTH", 4.0)
     monkeypatch.setattr(core, "_LOG_CACHE", {})
     with pytest.raises(ConvergenceError):
         gb_eval(0.3 + 0.2j, 0.8)

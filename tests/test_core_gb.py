@@ -29,6 +29,7 @@ from qdilog.errors import (
     PoleProximityError,
     UnsupportedParameterError,
 )
+from qdilog.quadrature import Arc, Line, integrate_batch
 from qdilog.suites import run_six_nine
 
 B_VALUES = [0.8, 0.6, 1.0, 0.6 + 0.1j]
@@ -199,6 +200,58 @@ def test_asymptotics_match_quadrature_near_threshold():
         quad = cmath.exp(core._log_gb_strip_batch(np.array([w]), m, EvalConfig())[0])
         assert rel(quad, gb_asymptotic(w, m, direction)) < 1e-9
         assert rel(gb_eval(w, m), gb_asymptotic(w, m, direction)) < 1e-13
+
+
+def _adaptive_log_gb(z0, m):
+    """log G_b at one strip point along rays plus a semicircle over t = 0.
+
+    The reference route: adaptive Gauss-Kronrod at rel_tol 1e-12 with a
+    1e-13 absolute floor (Kronrod roundoff reaches 2e-14 near the strip
+    edges), each half of the integrand written so that it decays without
+    overflow.
+    """
+    b, b_inv, Q = m.b, m.b_inv, m.Q
+
+    def fbatch(ts):
+        right = ts.real >= 0
+        tr, tl = ts[right], ts[~right]
+        out = np.empty((1, len(ts)), dtype=complex)
+        out[0, right] = np.exp((z0 - Q) * tr) / (
+            tr * one_minus_exp(-b * tr) * one_minus_exp(-b_inv * tr)
+        )
+        out[0, ~right] = np.exp(z0 * tl) / (
+            tl * one_minus_exp(b * tl) * one_minus_exp(b_inv * tl)
+        )
+        return out
+
+    reach = -math.log(1e-15) + 4.0
+    t_left, t_right = reach / z0.real, reach / (Q.real - z0.real)
+    r = min(math.pi * m.min_re_step, 1.0) / 4.0
+    cap = min(5.0 / max(abs(z0.imag), 1.0), 1.5)
+    segments = [Line(-t_left, -r), Arc(0j, r, math.pi, 0.0), Line(r, t_right)]
+    panels = [math.ceil(t_left / cap), 4, math.ceil(t_right / cap)]
+    res = integrate_batch(fbatch, segments, panels, rel_tol=1e-12, abs_floor=1e-13)
+    return -m.log_zeta - res.values[0]
+
+
+@pytest.mark.parametrize("b", [0.8, 0.6, 0.6 + 0.1j])
+def test_strip_rule_matches_adaptive_reference(b):
+    # Both half-planes up to the asymptotic switch, and both strip edges,
+    # where the tails are longest.
+    m = as_modulus(b)
+    top = 0.95 * core._ASYM_THRESHOLD / m.min_re_step
+    zs = np.array(
+        [
+            f * m.Q.real + 1j * y
+            for f in (0.02, 0.5, 0.98)
+            for y in (-top, -1.3, 0.0, 0.7, top)
+        ]
+    )
+    logs = core.log_gb_strip(zs, m)
+    for z, lg in zip(zs, logs):
+        assert abs(lg - _adaptive_log_gb(z, m)) < 1e-11
+        if m.b.imag:
+            assert rel(cmath.exp(lg), gb_product_oracle(z, m)) < 1e-11
 
 
 def test_suite_survives_cache_overflow(monkeypatch):
