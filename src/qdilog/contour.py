@@ -329,13 +329,13 @@ def plan_contour(
 
 
 def _direction_coeffs(spec: IntegrandSpec, bindings, m, d: int):
-    """Quadratic exponent (c2, c1, c0) of the integrand for Re v -> d*inf.
+    """Leading coefficients (c2, c1) of the exponent for Re v -> d*inf.
 
     Factors whose argument heads to Im -> -inf on that side follow
     G_b(z) ~ zeta e^{i pi z (z - Q)} and contribute their quadratic phase;
     the rest tend to a constant.
     """
-    c2, c1, c0 = spec.symbol.gauss.polynomial_in(spec.var, bindings)
+    c2, c1, _ = spec.symbol.gauss.polynomial_in(spec.var, bindings)
     for f in spec.symbol.factors:
         g = complex(f.argument.coeff(spec.var))
         if g == 0:
@@ -345,8 +345,7 @@ def _direction_coeffs(spec: IntegrandSpec, bindings, m, d: int):
             e = f.exponent
             c2 += e * 1j * g * g
             c1 += e * 1j * g * (2 * a0 - m.Q)
-            c0 += e * 1j * a0 * (a0 - m.Q)
-    return c2, c1, c0
+    return c2, c1
 
 
 def _tail_cutoff(c2: complex, c1: complex, y0: float, d: int, drop: float) -> float:
@@ -482,10 +481,7 @@ def integrate_contour(
     poles, zeros = pole_sequences(spec, bindings, m)
     y0 = contour.baseline
 
-    coeffs = {}
-    for d in (+1, -1):
-        c2, c1, _ = _direction_coeffs(spec, bindings, m, d)
-        coeffs[d] = (c2, c1)
+    coeffs = {d: _direction_coeffs(spec, bindings, m, d) for d in (+1, -1)}
 
     tail_rel = rel_tol * 10.0 ** (-cfg.trunc_margin)
     drop = -math.log(tail_rel) + 4.0
@@ -495,12 +491,10 @@ def integrate_contour(
         t_right = _tail_cutoff(*coeffs[+1], y0, +1, drop)
         t_left = _tail_cutoff(*coeffs[-1], y0, -1, drop)
 
-    sym = spec.symbol
-
     n_extra_evals = 0
 
-    def fbatch(vs: np.ndarray) -> np.ndarray:
-        return sym.evaluate_on(spec.var, vs, bindings, m, cfg)[None, :]
+    def f(vs: np.ndarray) -> np.ndarray:
+        return spec.symbol.evaluate_on(spec.var, vs, bindings, m, cfg)
 
     probe_x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     # Probe along the actual path: on the baseline this is Im = y0, inside a
@@ -511,14 +505,14 @@ def integrate_contour(
     probe_pts = probe_x + 1j * np.array(
         [_path_im(contour, x) for x in probe_x]
     )
-    m0 = float(np.max(np.abs(fbatch(probe_pts)[0])))
+    m0 = float(np.max(np.abs(f(probe_pts))))
     n_extra_evals += probe_x.size
     m0 = max(m0, 1e-300)
 
     for attempt in range(4):
         _validate(contour, poles, zeros, t_left, t_right)
         tails = np.array([-t_left + 1j * y0, t_right + 1j * y0])
-        tail_vals = np.abs(fbatch(tails)[0])
+        tail_vals = np.abs(f(tails))
         n_extra_evals += 2
         if attempt == 3 or contour.truncation > 0:
             break
@@ -531,10 +525,8 @@ def integrate_contour(
 
     segments, panels = _build_segments(contour, t_left, t_right, coeffs)
     res = integrate_batch(
-        fbatch, segments, panels, rel_tol=rel_tol, abs_floor=1e-3 * rel_tol * m0
+        f, segments, panels, rel_tol=rel_tol, abs_floor=1e-3 * rel_tol * m0
     )
-    value = complex(res.values[0])
-    quad_err = float(res.errors[0])
 
     tail_est = 0.0
     for d, tv, t_end in ((-1, tail_vals[0], t_left), (+1, tail_vals[1], t_right)):
@@ -544,10 +536,10 @@ def integrate_contour(
             * (2.0 * c2.real * t_end * d + (c1.real - 2.0 * y0 * c2.imag))
         )
         tail_est += (float(tv) / max(rate, 0.1)) ** 2
-    err = math.hypot(quad_err, math.sqrt(tail_est))
+    err = math.hypot(res.error, math.sqrt(tail_est))
 
     return IntegrationResult(
-        value=value,
+        value=res.value,
         err_estimate=err,
         truncation=(t_left, t_right),
         n_panels=res.n_panels,

@@ -305,6 +305,9 @@ def reduction_correction(
 # line, so the trapezoidal error e^{-2 pi d / h} is 1e-3 of the tail target.
 _TRAP_DEPTH = 0.8
 _STRIP_CHUNK = 384
+# Nodes summed at once: a point near a strip edge needs about reach / (h Re z)
+# of them (86M at Re z = 1e-6), so they go in blocks to bound the memory.
+_NODE_BLOCK = 1024
 
 
 def _log_gb_strip_batch(
@@ -326,30 +329,36 @@ def _log_gb_strip_batch(
     reach = -math.log(tail_target) + 4.0
     c = math.pi * m.min_re_step
     h = 2.0 * math.pi * _TRAP_DEPTH * c / math.log(1e3 / tail_target)
-    k = np.arange(math.floor(-reach / lam_left / h), math.ceil(reach / lam_right / h))
-    even = slice(k[0] % 2, None, 2)
+    k_lo = math.floor(-reach / lam_left / h)
+    k_hi = math.ceil(reach / lam_right / h)
     ctype = np.clongdouble if cfg.precision == "extended" else np.complex128
-    x = (k + 0.25) * ctype(h).real
-    # Right of the origin the factors are rewritten as e^{(z0-Q)t} over
-    # (1-e^{-bt})(1-e^{-t/b}), so nothing overflows.
-    right = x >= 0
-    sign = np.where(right, -1.0, 1.0)
     target = math.sqrt(0.5 * cfg.rel_tol)
     out = np.empty(len(z0s), dtype=complex)
     for rows, side in ((z0s.imag >= 0, 1.0), (z0s.imag < 0, -1.0)):
         if not rows.any():
             continue
-        t = x + np.asarray(1j * side * c, dtype=ctype)
-        w = h / (
-            t * one_minus_exp(sign * m.b * t) * one_minus_exp(sign * m.b_inv * t)
-        )
-        e = np.outer(np.asarray(z0s[rows], dtype=ctype), t)
-        e -= np.where(right, ctype(m.Q) * t, 0.0)
-        np.exp(e, out=e)
-        # einsum, not `@`: on two cores OpenBLAS's threaded product of this
-        # shape took longer than the exponentials.
-        t_h = np.einsum("pk,k->p", e, w)
-        gap = np.abs(t_h - 2.0 * np.einsum("pk,k->p", e[:, even], w[even]))
+        z = np.asarray(z0s[rows], dtype=ctype)
+        t_h = t_2h = 0.0
+        for k0 in range(k_lo, k_hi, _NODE_BLOCK):
+            x = (np.arange(k0, min(k0 + _NODE_BLOCK, k_hi)) + 0.25) * ctype(h).real
+            # Right of the origin the factors are rewritten as e^{(z0-Q)t}
+            # over (1-e^{-bt})(1-e^{-t/b}), so nothing overflows.
+            right = x >= 0
+            sign = np.where(right, -1.0, 1.0)
+            t = x + np.asarray(1j * side * c, dtype=ctype)
+            w = h / (
+                t * one_minus_exp(sign * m.b * t) * one_minus_exp(sign * m.b_inv * t)
+            )
+            e = np.outer(z, t)
+            e -= np.where(right, ctype(m.Q) * t, 0.0)
+            np.exp(e, out=e)
+            # The subsum takes the nodes of even k.  einsum, not `@`: on two
+            # cores OpenBLAS's threaded product of this shape took longer
+            # than the exponentials.
+            even = slice(k0 % 2, None, 2)
+            t_h = t_h + np.einsum("pk,k->p", e, w)
+            t_2h = t_2h + np.einsum("pk,k->p", e[:, even], w[even])
+        gap = np.abs(t_h - 2.0 * t_2h)
         if not np.all(gap <= target):
             worst = int(np.argmax(gap))  # a NaN gap is taken first
             raise ConvergenceError(
@@ -371,7 +380,8 @@ def log_gb_strip(z0s, b, cfg: EvalConfig | None = None) -> np.ndarray:
 
     Points far from the real axis are answered from the asymptotic laws.
     The rest are summed in the given order, in batches of at most
-    _STRIP_CHUNK points to bound the memory of one batch.
+    _STRIP_CHUNK points by _NODE_BLOCK nodes, which bounds the memory of one
+    sum however close a point sits to a strip edge.
     """
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
@@ -428,7 +438,9 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     within 1e-12 of a pole, and returns exactly 0 within 1e-12 of a zero.
     Never returns NaN or infinity: where a value leaves double range (far
     from the strip, e.g. Re z = 1000 at b = 0.8) it raises
-    UnsupportedParameterError naming the first such point.
+    UnsupportedParameterError naming the first such point.  It raises that
+    error up front, too, at a point whose shift walk into the strip would
+    take more than rel_tol / (2 eps) steps (225,179 at rel_tol 1e-10).
     """
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
@@ -439,11 +451,22 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
         positions.setdefault(z, []).append(i)
 
     real_b = m.b.imag == 0.0
+    # Each shift step adds about 1.5 eps of roundoff to the reduction factor,
+    # and the lattice scan and the walk take one Python step per shift.
+    max_steps = int(cfg.rel_tol / (2.0 * np.finfo(float).eps))
+    big_step = max(m.b.real, m.b_inv.real)
     results: dict = {}
     reductions: dict = {}
     for z in positions:
         if not cmath.isfinite(z):
             raise ParameterDomainError(f"G_b needs a finite argument, got z = {z}")
+        steps = int(abs(z.real - 0.5 * m.Q.real) / big_step)
+        if steps > max_steps:
+            raise UnsupportedParameterError(
+                f"G_b(z) at z = {z}, b = {m.b} needs about {steps} shift steps "
+                f"into the strip; beyond {max_steps} their roundoff exceeds "
+                f"rel_tol = {cfg.rel_tol:g}"
+            )
         # The pole and zero lattices are real for real b, so distant-enough
         # imaginary parts cannot be near either lattice.
         if not (real_b and abs(z.imag) > 0.5):

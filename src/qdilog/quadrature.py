@@ -1,8 +1,9 @@
-"""Batched adaptive Gauss-Kronrod quadrature over piecewise contours.
+"""Adaptive Gauss-Kronrod quadrature over piecewise contours.
 
-The driver integrates a whole batch of integrands along one shared contour,
-evaluating them through a single callback so vectorized special-function
-code is hit with large argument arrays instead of one point at a time.
+The driver integrates one function along a contour.  Each refinement round
+evaluates it once, on the nodes of every panel in that round, so vectorized
+special-function code is hit with large argument arrays instead of one point
+at a time.
 
 Contours are sequences of segments (straight lines and circular arcs), each
 parameterized on [0, 1].  Panels live in parameter space; the segment's
@@ -99,42 +100,37 @@ class Arc:
 Segment = Line | Arc
 
 
+# "Batch" in the two names below is the set of panels that one callback
+# evaluates; perfbench/tracing.py rebinds integrate_batch by name and its
+# README names BatchQuadResult, so both names stay.
 @dataclass
 class BatchQuadResult:
-    """Outcome of one converged batched contour integration.
+    """Outcome of one converged contour integration."""
 
-    values/errors are aligned with the batch axis of the integrand callback.
-    """
-
-    values: np.ndarray
-    errors: np.ndarray
+    value: complex
+    error: float
     n_panels: int
     n_evals: int
 
 
-def _panel_nodes(seg: Segment, centers: np.ndarray, halves: np.ndarray):
-    """Points and tangents at the 15 Kronrod nodes of each panel, shape [P, 15]."""
-    u = centers[:, None] + halves[:, None] * NODES15[None, :]
-    return seg.point(u), seg.tangent(u)
-
-
 def integrate_batch(
-    fbatch: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
     segments: Sequence[Segment],
     initial_panels: Sequence[int],
     rel_tol: float,
     abs_floor: float = 0.0,
 ) -> BatchQuadResult:
-    """Integrate a batch of functions along a piecewise contour.
+    """Integrate one function along a piecewise contour.
 
-    fbatch maps a flat array of M contour points to an array [B, M]; the
-    batch axis B is discovered from the first call.  Each batch element is
-    driven to err <= max(rel_tol * |value|, abs_floor), where err is the
-    root-sum-square of per-panel Kronrod-minus-Gauss differences.  Panels
-    whose error exceeds an equal-share threshold are bisected, worst first,
-    until everything converges or the panel/round budget runs out.  Raises
-    ConvergenceError naming the worst unconverged element, its error and its
-    target, if any element misses its target.
+    f maps a flat array of contour points to their values; each call
+    receives the 15 Kronrod nodes of every panel being evaluated.  The
+    integral is driven to err <= max(rel_tol * |value|, abs_floor), where
+    err is the root-sum-square of per-panel Kronrod-minus-Gauss differences.
+    Panels whose error exceeds the equal share target / sqrt(P) are
+    bisected, at most the worst _SPLIT_CAP of them per round, until the
+    total meets the target or the panel/round budget runs out.  Raises
+    ConvergenceError with the achieved error and the target if the total
+    misses it.
     """
     if len(segments) != len(initial_panels):
         raise ValueError("need one initial panel count per segment")
@@ -155,61 +151,41 @@ def integrate_batch(
     half_arr = np.array(halves)
 
     def evaluate(panel_seg, panel_cen, panel_half):
-        """Kronrod and error contributions for a set of panels."""
-        n_p = len(panel_seg)
-        pts = np.empty((n_p, 15), dtype=complex)
-        tans = np.empty((n_p, 15), dtype=complex)
+        """Kronrod integral and error estimate of each panel."""
+        u = panel_cen[:, None] + panel_half[:, None] * NODES15[None, :]
+        pts = np.empty(u.shape, dtype=complex)
+        tans = np.empty(u.shape, dtype=complex)
         for i, seg in enumerate(segments):
             mask = panel_seg == i
             if not mask.any():
                 continue
-            p, t = _panel_nodes(seg, panel_cen[mask], panel_half[mask])
-            pts[mask] = p
-            tans[mask] = t
-        vals = fbatch(pts.ravel())
-        vals = np.atleast_2d(np.asarray(vals))
-        b = vals.shape[0]
-        g = vals.reshape(b, n_p, 15) * tans[None, :, :]
+            pts[mask] = seg.point(u[mask])
+            tans[mask] = seg.tangent(u[mask])
+        g = np.asarray(f(pts.ravel())).reshape(u.shape) * tans
         # Panel integral ~ half * sum(w * g); halves carry the u-space width.
-        k15 = np.einsum("bpi,i->bp", g, WEIGHTS15) * panel_half[None, :]
-        g7 = np.einsum("bpi,i->bp", g, WEIGHTS7) * panel_half[None, :]
-        err = np.abs(k15 - g7)
-        return k15, err, n_p * 15
+        k15 = np.einsum("pi,i->p", g, WEIGHTS15) * panel_half
+        g7 = np.einsum("pi,i->p", g, WEIGHTS7) * panel_half
+        return k15, np.abs(k15 - g7)
 
-    k15, err, n_evals = evaluate(seg_arr, cen_arr, half_arr)
+    k15, err = evaluate(seg_arr, cen_arr, half_arr)
+    n_evals = k15.size * 15
 
     for _ in range(_MAX_ROUNDS):
-        values = k15.sum(axis=1)
-        total_err = np.sqrt((err**2).sum(axis=1))
-        targets = np.maximum(rel_tol * np.abs(values), abs_floor)
-        bad = total_err > targets
-        if not bad.any():
+        n_p = len(k15)
+        total = np.sqrt((err**2).sum())
+        target = max(rel_tol * abs(k15.sum()), abs_floor)
+        # A NaN total stops here too, and raises below.
+        if not total > target or n_p >= _MAX_PANELS:
             break
-        n_p = k15.shape[1]
-        if n_p >= _MAX_PANELS:
-            break
-        # Equal-share threshold: if every panel stays below target/sqrt(P),
-        # the RSS total meets the target.
-        share = targets / np.sqrt(max(n_p, 1))
-        share = np.where(share > 0, share, np.inf)
-        ratio = np.where(bad[:, None], err / share[:, None], 0.0)
-        panel_score = ratio.max(axis=0)
-        to_split = np.nonzero(panel_score > 1.0)[0]
-        if len(to_split) == 0:
-            # Errors are spread too evenly to pick offenders; split the
-            # largest contributors of the unconverged elements.
-            contrib = np.where(bad[:, None], err, 0.0).max(axis=0)
-            to_split = np.argsort(contrib)[-min(_SPLIT_CAP, n_p) :]
-            to_split = to_split[contrib[to_split] > 0]
-            if len(to_split) == 0:
-                break
+        # If every panel stayed within target / sqrt(P), the RSS total would
+        # meet the target, so at least one panel exceeds that share (but for
+        # rounding: an empty split stops the loop and raises).
+        to_split = np.nonzero(err > target / np.sqrt(n_p))[0]
         if len(to_split) > _SPLIT_CAP:
-            order = np.argsort(panel_score[to_split])
-            to_split = to_split[order[-_SPLIT_CAP:]]
-        if n_p + len(to_split) > _MAX_PANELS:
-            to_split = to_split[: max(0, _MAX_PANELS - n_p)]
-            if len(to_split) == 0:
-                break
+            to_split = to_split[np.argsort(err[to_split])[-_SPLIT_CAP:]]
+        to_split = to_split[: _MAX_PANELS - n_p]
+        if len(to_split) == 0:
+            break
 
         keep = np.ones(n_p, dtype=bool)
         keep[to_split] = False
@@ -220,34 +196,20 @@ def integrate_batch(
             half_arr[to_split], 2
         )
 
-        ck15, cerr, ce = evaluate(child_seg, child_cen, child_half)
-        n_evals += ce
+        ck15, cerr = evaluate(child_seg, child_cen, child_half)
+        n_evals += ck15.size * 15
         seg_arr = np.concatenate([seg_arr[keep], child_seg])
         cen_arr = np.concatenate([cen_arr[keep], child_cen])
         half_arr = np.concatenate([half_arr[keep], child_half])
-        k15 = np.concatenate([k15[:, keep], ck15], axis=1)
-        err = np.concatenate([err[:, keep], cerr], axis=1)
+        k15 = np.concatenate([k15[keep], ck15])
+        err = np.concatenate([err[keep], cerr])
 
-    values = k15.sum(axis=1)
-    total_err = np.sqrt((err**2).sum(axis=1))
-    targets = np.maximum(rel_tol * np.abs(values), abs_floor)
+    value = complex(k15.sum())
+    total = float(np.sqrt((err**2).sum()))
+    target = max(rel_tol * abs(value), abs_floor)
     # Written so that a NaN error counts as a failure.
-    bad = np.nonzero(~(total_err <= targets))[0]
-    if len(bad):
-        worst = int(bad[np.argmax(total_err[bad])])
-        raise ConvergenceError(
-            value=values,
-            achieved_error=float(total_err[worst]),
-            target=float(targets[worst]),
-            message=(
-                f"{len(bad)} of {len(values)} integrals unconverged; worst is "
-                f"element {worst} at error {total_err[worst]:.3e} "
-                f"(target {targets[worst]:.3e})"
-            ),
-        )
+    if not total <= target:
+        raise ConvergenceError(value=value, achieved_error=total, target=target)
     return BatchQuadResult(
-        values=values,
-        errors=total_err,
-        n_panels=k15.shape[1],
-        n_evals=n_evals,
+        value=value, error=total, n_panels=len(k15), n_evals=n_evals
     )

@@ -13,8 +13,8 @@ from qdilog.cli import (
     main,
     parse_complex,
 )
-from qdilog import core
-from qdilog.core import as_modulus, gb_eval
+from qdilog import core, suites
+from qdilog.core import EvalConfig, as_modulus, gb_eval
 from qdilog.errors import ConvergenceError
 from qdilog.reports import EVAL_CSV_COLUMNS, VERIFY_CSV_COLUMNS
 
@@ -302,3 +302,64 @@ def test_strip_quadrature_failure_is_a_typed_error(monkeypatch, capsys):
         gb_eval(0.3 + 0.2j, 0.8)
     code, _, _ = run(capsys, "verify", "--suite", "reflection", "--grid", "small")
     assert code == EXIT_NUMERIC
+
+
+def test_eval_far_point_is_an_error_row(capsys):
+    # Reducing Re z = 1e9 into the strip would take 8e8 shift steps, whose
+    # roundoff alone exceeds rel_tol: refused before the walk starts.
+    code, out, _ = run(
+        capsys, "eval", "--what", "Gb", "--points", "1e9+0.3i", "--format", "json"
+    )
+    assert code == EXIT_PASS
+    row = json.loads(out)["rows"][0]
+    assert row["flags"] == ["error"]
+    assert row["value"] is None
+    assert "UnsupportedParameterError" in row["detail"]
+    assert "shift steps" in row["detail"]
+
+
+def test_eval_point_on_a_pole_is_a_flagged_empty_row(capsys):
+    code, out, _ = run(
+        capsys, "eval", "--what", "Gb", "--points", "0", "--format", "csv"
+    )
+    assert code == EXIT_PASS
+    assert out.splitlines()[1] == "0,0.0,0.0,,,,pole-proximity"
+
+
+def test_rel_tol_reaches_the_evaluator(capsys):
+    z = 0.5 + 0.2j
+    code, out, _ = run(
+        capsys, "eval", "--what", "Gb", "--points", "0.5+0.2i",
+        "--rel-tol", "1e-12", "--format", "csv",
+    )
+    assert code == EXIT_PASS
+    row = out.splitlines()[1].split(",")
+    v = complex(float(row[3]), float(row[4]))
+    assert v == gb_eval(z, 0.8, EvalConfig(rel_tol=1e-12))
+    assert v != gb_eval(z, 0.8)  # the last bits tell the two tolerances apart
+    assert float(row[5]) == 1e-12 * abs(v)
+
+
+def test_verify_prints_pretty_by_default(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "funceq")
+    assert code == EXIT_PASS
+    last = out.splitlines()[-1]
+    assert last.startswith("suite funceq: 36/36 cases within 1e-09 (PASS), ")
+
+
+def test_raising_case_becomes_a_failed_error_case(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(suites, "tau_binomial_check", broken)
+    code, out, _ = run(
+        capsys, "verify", "--suite", "tau-binomial", "--grid", "small",
+        "--format", "json",
+    )
+    assert code == EXIT_NUMERIC
+    cases = json.loads(out)["cases"]
+    assert cases
+    for case in cases:
+        assert case["passed"] is False
+        assert case["flags"] == ["error"]
+        assert case["detail"] == "ZeroDivisionError: injected"

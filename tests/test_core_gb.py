@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,14 +214,14 @@ def _adaptive_log_gb(z0, m):
     """
     b, b_inv, Q = m.b, m.b_inv, m.Q
 
-    def fbatch(ts):
+    def f(ts):
         right = ts.real >= 0
         tr, tl = ts[right], ts[~right]
-        out = np.empty((1, len(ts)), dtype=complex)
-        out[0, right] = np.exp((z0 - Q) * tr) / (
+        out = np.empty(len(ts), dtype=complex)
+        out[right] = np.exp((z0 - Q) * tr) / (
             tr * one_minus_exp(-b * tr) * one_minus_exp(-b_inv * tr)
         )
-        out[0, ~right] = np.exp(z0 * tl) / (
+        out[~right] = np.exp(z0 * tl) / (
             tl * one_minus_exp(b * tl) * one_minus_exp(b_inv * tl)
         )
         return out
@@ -230,8 +232,8 @@ def _adaptive_log_gb(z0, m):
     cap = min(5.0 / max(abs(z0.imag), 1.0), 1.5)
     segments = [Line(-t_left, -r), Arc(0j, r, math.pi, 0.0), Line(r, t_right)]
     panels = [math.ceil(t_left / cap), 4, math.ceil(t_right / cap)]
-    res = integrate_batch(fbatch, segments, panels, rel_tol=1e-12, abs_floor=1e-13)
-    return -m.log_zeta - res.values[0]
+    res = integrate_batch(f, segments, panels, rel_tol=1e-12, abs_floor=1e-13)
+    return -m.log_zeta - res.value
 
 
 @pytest.mark.parametrize("b", [0.8, 0.6, 0.6 + 0.1j])
@@ -252,6 +254,41 @@ def test_strip_rule_matches_adaptive_reference(b):
         assert abs(lg - _adaptive_log_gb(z, m)) < 1e-11
         if m.b.imag:
             assert rel(cmath.exp(lg), gb_product_oracle(z, m)) < 1e-11
+
+
+def test_long_shift_walk_keeps_rational_period_identity():
+    # At b = 0.8 (b^2 = 16/25) the 25 b-steps multiply to one factor:
+    # G(z + 20 M) = (1 - e^{40 pi i z})^M G(z).  M = 5000 takes 80,000 steps.
+    m = as_modulus(0.8)
+    z, n = 0.5 + 0.3j, 5000
+    exact = (1.0 - cmath.exp(40j * math.pi * z)) ** n * gb_eval(z, m)
+    assert rel(gb_eval(z + 20 * n, m), exact) < EvalConfig().rel_tol
+
+
+def test_far_shift_walk_is_refused_up_front():
+    # 8e8 steps would run for hours and lose ~1e-7 to roundoff.
+    t0 = time.perf_counter()
+    with pytest.raises(UnsupportedParameterError, match="shift steps"):
+        gb_eval(1e9 + 0.3j, 0.8)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_strip_sum_memory_stays_bounded_near_an_edge():
+    # One point at Re z = 1e-3 needs about 86,000 nodes; summed in blocks,
+    # the batch's memory must not grow with that count.
+    m = as_modulus(0.8)
+    rng = np.random.default_rng(7)
+    mid = (0.3 + 0.4 * rng.random(39)) * m.Q.real + 1j * rng.uniform(-1, 1, 39)
+    zs = np.append(mid, 1e-3 + 0.2j)
+    tracemalloc.start()
+    try:
+        logs = core.log_gb_strip(zs, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert np.max(np.abs(logs[:-1] - core.log_gb_strip(mid, m))) < 1e-13
+    assert abs(logs[-1] - cmath.log(gb_eval(zs[-1], m))) < 1e-13
 
 
 def test_suite_survives_cache_overflow(monkeypatch):
