@@ -5,7 +5,6 @@ from .core import (
     EvalConfig,
     ModulusParam,
     as_modulus,
-    clear_cache,
     func_eq_general,
     gb_asymptotic,
     gb_eval,

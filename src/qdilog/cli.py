@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from .core import EvalConfig, _lattice_distance, as_modulus, gb_eval, small_gb
+from .core import EvalConfig, _near_lattice, as_modulus, gb_eval, small_gb
 from .errors import (
     ContourUnsupportedError,
     ConvergenceError,
@@ -246,7 +246,7 @@ def _cmd_eval(args, cfg: RunConfig) -> tuple:
                 )
                 continue
             # G_b took z, so z is finite and its lattice distance defined.
-            near = args.what == "Gb" and _lattice_distance(z, m) < POLE_FLAG_DISTANCE
+            near = args.what == "Gb" and _near_lattice(z, m, POLE_FLAG_DISTANCE).any()
             flags = ("pole-proximity",) if near else ()
             rows.append(EvalRow(k, z, v, rel * abs(v), flags=flags))
     report = EvalReport(

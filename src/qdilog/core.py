@@ -65,7 +65,6 @@ __all__ = [
     "func_eq_general",
     "pole_limit",
     "zero_limit",
-    "clear_cache",
 ]
 
 
@@ -130,91 +129,101 @@ class EvalConfig:
     trunc_margin: float = 2.0
     precision: str = "standard"
 
+    # Read only by the benchmark's tracer (perfbench/tracing.py), which keys
+    # the points it counts by modulus and config.
     def cache_key(self) -> tuple:
         return (self.rel_tol, self.trunc_margin, self.precision)
 
 
 _DEFAULT_CFG = EvalConfig()
-# Absolute snap distances: raise PoleProximityError, or return an exact 0.
-_POLE_EPS = 1e-12
-_ZERO_EPS = 1e-12
+# Absolute snap distance: raise PoleProximityError, or return an exact 0.
+_SNAP_EPS = 1e-12
 # The vertical asymptotics answer once min(Re b, Re 1/b) * |Im z| reaches this.
 _ASYM_THRESHOLD = 8.0
 
 
 def one_minus_exp(w):
-    """1 - exp(w), accurate near w = 0 where the direct form cancels.
+    """1 - exp(w), accurate wherever it is small.
 
-    Accepts scalars or arrays; for |w| <= 1/4 a 14-term series keeps full
-    relative accuracy on a quantity of size |w|.
+    Accepts scalars or arrays.  Near each zero w = 2 pi i k the direct form
+    cancels and loses about eps / |w - 2 pi i k| of relative accuracy;
+    expm1 keeps it.
     """
-    arr = np.asarray(w)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.dtype.kind != "c":
-        arr = arr.astype(complex)
-    out = 1.0 - np.exp(arr)
-    small = np.abs(arr) <= 0.25
-    if small.any():
-        ws = arr[small]
-        term = -ws
-        acc = term.copy()
-        for k in range(2, 15):
-            term = term * ws / k
-            acc = acc + term
-        out[small] = acc
-    return out[0] if scalar else out
+    w = np.asarray(w)
+    return -np.expm1(w if w.dtype.kind == "c" else w.astype(complex))[()]
 
 
 # ---------------------------------------------------------------------------
 # Lattice geometry
 
 
+# Most factors the lattice scan or the shift product forms at once: this bounds
+# a long walk's memory, and a lone far point pays numpy's overhead per block.
+_BLOCK = 65_536
+
+
+def _nearest_lattice(w, m: ModulusParam):
+    """Nearest point n1 b + n2 / b (n1, n2 >= 0) to each w: arrays (n1, n2, d).
+
+    For each n1 the best n2 is one of the two integers around the projection
+    of w - n1 b on 1/b.  Since Re(n1 b + n2 / b) >= n1 Re b, a point's scan
+    stops once n1 Re b - Re w exceeds the best distance found; the points
+    still scanning take their n1 in shared blocks.
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    b, g = m.b, m.b_inv
+    g2 = g.real * g.real + g.imag * g.imag
+    n1 = np.zeros(len(w), dtype=np.int64)
+    n2 = np.zeros(len(w), dtype=np.int64)
+    d = np.abs(w)
+    live = np.arange(len(w))
+    start = 0
+    while len(live):
+        last = ((w[live].real + d[live]) / b.real).max()
+        width = max(1, min(int(last - start) + 1, _BLOCK // len(live)))
+        rem = w[live, None] - np.arange(start, start + width) * b
+        t = np.floor((rem.real * g.real + rem.imag * g.imag) / g2)
+        cand = np.maximum(t[:, :, None] + (0.0, 1.0), 0.0).reshape(len(live), -1)
+        dist = np.abs(rem.repeat(2, axis=1) - cand * g)
+        rows = np.arange(len(live))
+        j = dist.argmin(axis=1)
+        win = dist[rows, j] < d[live]
+        rows, j = rows[win], j[win]
+        n1[live[rows]] = start + j // 2
+        n2[live[rows]] = cand[rows, j]
+        d[live[rows]] = dist[rows, j]
+        start += width
+        live = live[start * b.real - w[live].real <= d[live]]
+    return n1, n2, d
+
+
+def _near_lattice(z, m: ModulusParam, eps: float) -> np.ndarray:
+    """Rows (near a pole, near a zero): whether each z lies within eps of one.
+
+    The poles of G_b are -p and its zeros Q + p for p = n1 b + n2 / b
+    (n1, n2 >= 0).  Every p lies in the sector |arg| <= |arg b|, which b and
+    1/b bound, so only points within eps of that sector are scanned.  At
+    real b the sector is the ray [0, inf).
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    w = np.concatenate([-z, z - m.Q])
+    off = np.abs(np.arctan2(w.imag, w.real)) - abs(cmath.phase(m.b))
+    gap = np.abs(w) * np.sin(np.minimum(np.maximum(off, 0.0), 0.5 * math.pi))
+    scan = gap < eps
+    near = np.zeros(len(w), dtype=bool)
+    if scan.any():
+        near[scan] = _nearest_lattice(w[scan], m)[2] < eps
+    return near.reshape(2, -1)
+
+
 def nearest_lattice_point(w: complex, m: ModulusParam):
     """Nearest point of {n1 b + n2 / b : n1, n2 >= 0} to w.
 
-    Returns (n1, n2, point, distance).  The scan over n1 stops as soon as
-    n1 Re b alone puts every remaining candidate farther than the best found.
+    Returns (n1, n2, point, distance).
     """
-    b, g = m.b, m.b_inv
-    g2 = g.real * g.real + g.imag * g.imag
-    best_d = abs(w)
-    best = (0, 0, 0j)
-    n1 = 0
-    while True:
-        base = n1 * b
-        if n1 > 0 and base.real - w.real > best_d:
-            break
-        rem = w - base
-        t = (rem.real * g.real + rem.imag * g.imag) / g2
-        cands = {max(0, math.floor(t)), max(0, math.floor(t) + 1)}
-        for n2 in cands:
-            p = base + n2 * g
-            d = abs(w - p)
-            if d < best_d:
-                best_d = d
-                best = (n1, n2, p)
-        n1 += 1
-        if n1 * b.real > w.real + best_d + 1e-12:
-            break
-    return best[0], best[1], best[2], best_d
-
-
-def _pole_distance(z: complex, m: ModulusParam):
-    """(nearest pole, distance) of G_b from z."""
-    n1, n2, p, d = nearest_lattice_point(-z, m)
-    return -p, d
-
-
-def _zero_distance(z: complex, m: ModulusParam):
-    """(nearest zero, distance) of G_b from z."""
-    n1, n2, p, d = nearest_lattice_point(z - m.Q, m)
-    return m.Q + p, d
-
-
-def _lattice_distance(z: complex, m: ModulusParam) -> float:
-    """Distance from z to the nearer of the pole and zero lattices of G_b."""
-    return min(_pole_distance(z, m)[1], _zero_distance(z, m)[1])
+    n1, n2, d = _nearest_lattice(w, m)
+    n1, n2 = int(n1[0]), int(n2[0])
+    return n1, n2, n1 * m.b + n2 * m.b_inv, float(d[0])
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +249,54 @@ def strip_reduce(z: complex, m: ModulusParam) -> StripReduction:
     z = complex(z)
     lo = 0.25 * m.Q.real
     hi = 0.75 * m.Q.real
-    steps = sorted(
-        [(m.b, "n1"), (m.b_inv, "n2")], key=lambda s: s[0].real, reverse=True
-    )
-    (big, big_name), (small, small_name) = steps
-    counts = {"n1": 0, "n2": 0}
+    # (step, which count it adds to), the larger first; a stable sort keeps
+    # the b-step first at b = 1.
+    big, small = sorted(((m.b.real, 0), (m.b_inv.real, 1)), key=lambda s: -s[0])
+    n = [0, 0]
     x = z.real
     while x < lo:
-        if x + big.real <= hi:
-            counts[big_name] += 1
-            x += big.real
-        else:
-            counts[small_name] += 1
-            x += small.real
+        step, k = big if x + big[0] <= hi else small
+        n[k] += 1
+        x += step
     while x > hi:
-        if x - big.real >= lo:
-            counts[big_name] -= 1
-            x -= big.real
-        else:
-            counts[small_name] -= 1
-            x -= small.real
-    n1, n2 = counts["n1"], counts["n2"]
-    return StripReduction(z0=z + n1 * m.b + n2 * m.b_inv, n1=n1, n2=n2)
+        step, k = big if x - big[0] >= lo else small
+        n[k] -= 1
+        x -= step
+    return StripReduction(z0=z + n[0] * m.b + n[1] * m.b_inv, n1=n[0], n2=n[1])
+
+
+def _shift_product(z0, n1, n2, m: ModulusParam, binv_first: bool = False):
+    """C with G_b(z0 - n1 b - n2 / b) = C * G_b(z0), for arrays of walks.
+
+    From z0 the walk takes its b-steps, then its 1/b-steps from where those
+    end (the other way round with binv_first).  A step down by s onto w
+    divides by 1 - e^{2 pi i s w}, a step up from w multiplies by it, so a
+    leg of |n| steps takes the factors at base + j s, j < |n|, from its lower
+    end.  A block of (points x steps) factors is formed at once and
+    multiplied along the step axis.
+    """
+    w = np.asarray(z0, dtype=complex)
+    c = np.ones(len(w), dtype=complex)
+    legs = ((m.b_inv, n2), (m.b, n1)) if binv_first else ((m.b, n1), (m.b_inv, n2))
+    for s, n in legs:
+        n = np.asarray(n)
+        if not n.any():
+            continue
+        base = w - np.maximum(n, 0) * s
+        steps = np.abs(n)
+        live = steps.nonzero()[0]
+        j0 = 0
+        while len(live):
+            width = int(min(steps[live].max() - j0, max(1, _BLOCK // len(live))))
+            j = j0 + np.arange(width)
+            f = one_minus_exp(2j * math.pi * s * (base[live, None] + j * s))
+            f[j >= steps[live, None]] = 1.0
+            p = f.prod(axis=1)
+            c[live] *= np.where(n[live] > 0, 1.0 / p, p)
+            j0 += width
+            live = live[steps[live] > j0]
+        w = w - n * s
+    return c
 
 
 def reduction_correction(
@@ -269,32 +304,15 @@ def reduction_correction(
 ) -> complex:
     """Exact factor C with G_b(z) = C * G_b(red.z0).
 
-    Walks from z0 back to z one shift at a time, multiplying or dividing
-    the corresponding shift-equation factor.  The two orders process the
-    b-steps and the 1/b-steps in opposite sequence; they agree up to
-    roundoff because the factors commute.
+    Walks from z0 back to z, multiplying or dividing the shift-equation
+    factors.  The two orders take the b-steps and the 1/b-steps in opposite
+    sequence, so their factors sit at different points; they agree up to
+    roundoff because the shifts commute.
     """
-    if order == "b-first":
-        steps = [(m.b, red.n1), (m.b_inv, red.n2)]
-    elif order == "binv-first":
-        steps = [(m.b_inv, red.n2), (m.b, red.n1)]
-    else:
+    if order not in ("b-first", "binv-first"):
         raise ValueError(f"unknown order {order!r}")
-    two_pi_i = 2j * math.pi
-    w = red.z0
-    c = 1.0 + 0j
-    for s, n in steps:
-        if n > 0:
-            # z lies n steps below z0: G(w - s) = G(w) / (1 - e^{2 pi i s (w-s)})
-            for _ in range(n):
-                w = w - s
-                c = c / complex(one_minus_exp(two_pi_i * s * w))
-        else:
-            # z lies above z0: G(w + s) = (1 - e^{2 pi i s w}) G(w)
-            for _ in range(-n):
-                c = c * complex(one_minus_exp(two_pi_i * s * w))
-                w = w + s
-    return c
+    c = _shift_product([red.z0], [red.n1], [red.n2], m, order == "binv-first")
+    return complex(c[0])
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +342,8 @@ def _log_gb_strip_batch(
     """
     tail_target = cfg.rel_tol * 10.0 ** (-cfg.trunc_margin)
     # log_gb_strip has checked that both distances are positive.
-    lam_left = float(np.min(z0s.real))
-    lam_right = float(m.Q.real - np.max(z0s.real))
+    lam_left = float(z0s.real.min())
+    lam_right = float(m.Q.real - z0s.real.max())
     reach = -math.log(tail_target) + 4.0
     c = math.pi * m.min_re_step
     h = 2.0 * math.pi * _TRAP_DEPTH * c / math.log(1e3 / tail_target)
@@ -359,7 +377,7 @@ def _log_gb_strip_batch(
             t_h = t_h + np.einsum("pk,k->p", e, w)
             t_2h = t_2h + np.einsum("pk,k->p", e[:, even], w[even])
         gap = np.abs(t_h - 2.0 * t_2h)
-        if not np.all(gap <= target):
+        if not (gap <= target).all():
             worst = int(np.argmax(gap))  # a NaN gap is taken first
             raise ConvergenceError(
                 value=t_h,
@@ -385,8 +403,8 @@ def log_gb_strip(z0s, b, cfg: EvalConfig | None = None) -> np.ndarray:
     """
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
-    pts = np.asarray([complex(z) for z in np.atleast_1d(z0s)], dtype=complex)
-    if np.any(pts.real <= 0) or np.any(pts.real >= m.Q.real):
+    pts = np.atleast_1d(np.asarray(z0s, dtype=complex))
+    if (pts.real <= 0).any() or (pts.real >= m.Q.real).any():
         raise StripDomainError("argument outside the open strip 0 < Re z < Re Q")
     out = np.empty(len(pts), dtype=complex)
     scale = m.min_re_step
@@ -417,23 +435,28 @@ def gb_asymptotic(z: complex, b, direction: str) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Full-plane evaluation with cache
-
-_LOG_CACHE: dict = {}
-_CACHE_CAP = 500_000
+# Full-plane evaluation
 
 
-def clear_cache() -> None:
-    _LOG_CACHE.clear()
-
-
-def _sorted_unique(values):
-    return sorted(values, key=lambda z: (z.imag, z.real))
+def _distinct(z: np.ndarray):
+    """Distinct values of z sorted by (Im, Re), and the index of each z in them."""
+    if len(z) < 2:
+        return z, np.zeros(len(z), dtype=np.intp)
+    order = np.lexsort((z.real, z.imag))
+    z = z[order]
+    new = np.empty(len(z), dtype=bool)
+    new[:1] = True
+    new[1:] = z[1:] != z[:-1]
+    inverse = np.empty(len(z), dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return z[new], inverse
 
 
 def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
-    """G_b at many points, sharing reductions, quadrature batches and cache.
+    """G_b at many points, sharing reductions and strip batches.
 
+    Each distinct point is reduced once, and the distinct reduced points are
+    summed together, so the values depend only on this call's arguments.
     Raises ParameterDomainError at a non-finite argument, PoleProximityError
     within 1e-12 of a pole, and returns exactly 0 within 1e-12 of a zero.
     Never returns NaN or infinity: where a value leaves double range (far
@@ -444,67 +467,47 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     """
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
-    zs = [complex(z) for z in zs]
-    out = np.empty(len(zs), dtype=complex)
-    positions: dict = {}
-    for i, z in enumerate(zs):
-        positions.setdefault(z, []).append(i)
-
-    real_b = m.b.imag == 0.0
-    # Each shift step adds about 1.5 eps of roundoff to the reduction factor,
-    # and the lattice scan and the walk take one Python step per shift.
+    zs = np.asarray(zs, dtype=complex)
+    finite = np.isfinite(zs)
+    if not finite.all():
+        z = complex(zs[~finite][0])
+        raise ParameterDomainError(f"G_b needs a finite argument, got z = {z}")
+    # Each shift step adds about 1.5 eps of roundoff to the reduction factor.
     max_steps = int(cfg.rel_tol / (2.0 * np.finfo(float).eps))
     big_step = max(m.b.real, m.b_inv.real)
-    results: dict = {}
-    reductions: dict = {}
-    for z in positions:
-        if not cmath.isfinite(z):
-            raise ParameterDomainError(f"G_b needs a finite argument, got z = {z}")
-        steps = int(abs(z.real - 0.5 * m.Q.real) / big_step)
-        if steps > max_steps:
-            raise UnsupportedParameterError(
-                f"G_b(z) at z = {z}, b = {m.b} needs about {steps} shift steps "
-                f"into the strip; beyond {max_steps} their roundoff exceeds "
-                f"rel_tol = {cfg.rel_tol:g}"
-            )
-        # The pole and zero lattices are real for real b, so distant-enough
-        # imaginary parts cannot be near either lattice.
-        if not (real_b and abs(z.imag) > 0.5):
-            pole, d = _pole_distance(z, m)
-            if d < _POLE_EPS:
-                raise PoleProximityError(z, pole, d)
-            _, d = _zero_distance(z, m)
-            if d < _ZERO_EPS:
-                results[z] = 0j
-                continue
-        reductions[z] = strip_reduce(z, m)
-
-    # This call reads only its own logs: the shared cache may be cleared,
-    # here or by another thread, between the lookup and the use.
-    base_key = (m.b,) + cfg.cache_key()
-    logs: dict = {}
-    for red in reductions.values():
-        hit = _LOG_CACHE.get((red.z0, *base_key))
-        if hit is not None:
-            logs[red.z0] = hit
-    todo = _sorted_unique({red.z0 for red in reductions.values()} - logs.keys())
-    if len(_LOG_CACHE) > _CACHE_CAP:
-        _LOG_CACHE.clear()
-    if todo:
-        for z0, lg in zip(todo, log_gb_strip(todo, m, cfg)):
-            logs[z0] = _LOG_CACHE[(z0, *base_key)] = complex(lg)
-
-    for z, red in reductions.items():
-        results[z] = reduction_correction(red, m) * cmath.exp(logs[red.z0])
-
-    for z, idxs in positions.items():
-        for i in idxs:
-            out[i] = results[z]
-    bad = np.nonzero(~np.isfinite(out))[0]
-    if len(bad):
+    far = np.abs(zs.real - 0.5 * m.Q.real) >= (max_steps + 1) * big_step
+    if far.any():
+        z = complex(zs[far][0])
         raise UnsupportedParameterError(
-            f"G_b(z) at z = {zs[bad[0]]}, b = {m.b} is not finite in double "
-            f"precision"
+            f"G_b(z) at z = {z}, b = {m.b} needs about "
+            f"{int(abs(z.real - 0.5 * m.Q.real) / big_step)} shift steps into "
+            f"the strip; beyond {max_steps} their roundoff exceeds "
+            f"rel_tol = {cfg.rel_tol:g}"
+        )
+    pts, inverse = _distinct(zs)
+    pole, zero = _near_lattice(pts, m, _SNAP_EPS)
+    if pole.any():
+        z = complex(zs[pole[inverse]][0])
+        _, _, p, d = nearest_lattice_point(-z, m)
+        raise PoleProximityError(z, -p, d)
+
+    values = np.zeros(len(pts), dtype=complex)
+    todo = (~zero).nonzero()[0]
+    reds = [strip_reduce(z, m) for z in pts[todo].tolist()]
+    z0s, at = _distinct(np.array([r.z0 for r in reds], dtype=complex))
+    logs = log_gb_strip(z0s, m, cfg)
+    # A far point's product or exponential may overflow; the finiteness
+    # check below turns that into UnsupportedParameterError.
+    with np.errstate(all="ignore"):
+        values[todo] = _shift_product(
+            z0s[at], [r.n1 for r in reds], [r.n2 for r in reds], m
+        ) * np.exp(logs[at])
+    out = values[inverse]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise UnsupportedParameterError(
+            f"G_b(z) at z = {complex(zs[bad][0])}, b = {m.b} is not finite in "
+            f"double precision"
         )
     return out
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contour import integrate_contour
-from .core import EvalConfig, _lattice_distance, as_modulus
+from .core import EvalConfig, _near_lattice, as_modulus
 from .errors import DegenerateParameterError
 from .symbolic import (
     AffineForm,
@@ -414,11 +414,10 @@ def make_rep_params(
         for sym in static_syms:
             for f in sym.factors:
                 z = f.argument.evaluate(bindings)
-                d = _lattice_distance(z, m)
-                if d < _LATTICE_MARGIN:
+                if _near_lattice(z, m, _LATTICE_MARGIN).any():
                     raise DegenerateParameterError(
-                        f"argument {z} sits {d:.2e} from a pole/zero lattice "
-                        f"point; pick different representation labels"
+                        f"argument {z} sits within {_LATTICE_MARGIN:g} of a "
+                        f"pole/zero lattice point; pick different representation labels"
                     )
     return params
 

@@ -1,10 +1,9 @@
 """Report containers and renderers for evaluation tables and verify suites.
 
 JSON keys are sorted and floats go through repr.  For a fixed config and
-seed run on one thread, the only fields that vary between identical runs
+seed, at any thread count, the only fields that vary between identical runs
 are `timestamp` and `elapsed_seconds` (callers comparing reports drop those
-two); suites run on a thread pool may also vary in the last digits of
-their values.  CSV columns are fixed and documented in the README; `pretty`
+two).  CSV columns are fixed and documented in the README; `pretty`
 is a fixed-width text table for terminals.
 """
 

@@ -14,10 +14,9 @@ and the one runner, _run, times the suite, runs the cases and builds the
 report.  Errors raised while laying out the cases propagate; an error inside
 a case fails that case.  tau-binomial, six-nine, q-binomial and kac run
 their cases on a thread pool (capped by QDILOG_THREADS); every suite
-assembles its cases in case-index order.  At one thread a report is
-deterministic for a fixed config and seed.  Pool threads share the G_b log
-cache, so which points share a strip batch, and with it the last digits of
-a value, can change from run to run.
+assembles its cases in case-index order.  A report is deterministic for a
+fixed config and seed at any thread count: a G_b value depends only on the
+arguments of the call that computes it.
 """
 
 from __future__ import annotations
@@ -696,9 +695,8 @@ def run_consistency(
             ("kac", kac_rhs_integral().spec(), rep(alpha=0.5, s=0.3, t=0.2)),
         )
         for family, spec, bindings in families:
-            # Serial on purpose: strip values depend on which points share a
-            # batch, so the integrals must run in the same order every run.
-            # A pair integrates its base value once, in its first case.
+            # A pair integrates its base value once, in its first case, and
+            # the other case reads it.
             pair = cache(
                 partial(_consistency_pair, spec, bindings, m, cfg, _REL_TOL[family])
             )

@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, report formats, config handling."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import pytest
 
@@ -248,11 +253,14 @@ def test_command_line_overrides_config_file(tmp_path, capsys):
 
 def test_eval_out_of_range_value_is_an_error_row(capsys):
     # |G_b(1000 - 0.3i)| at b = 0.8 leaves double range: the row is flagged
-    # and empty instead of carrying NaN.
-    code, out, _ = run(
-        capsys, "eval", "--what", "Gb", "--points", "1000-0.3i", "--format", "json"
-    )
+    # and empty instead of carrying NaN, and no warning reaches stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "eval", "--what", "Gb", "--points", "1000-0.3i", "--format", "json"
+        )
     assert code == EXIT_PASS
+    assert err == ""
     row = json.loads(out)["rows"][0]
     assert "error" in row["flags"]
     assert row["value"] is None
@@ -297,7 +305,6 @@ def test_strip_quadrature_failure_is_a_typed_error(monkeypatch, capsys):
     # With a step five times too coarse the strip sum fails its step-2h
     # check; that must surface as ConvergenceError and as exit code 1.
     monkeypatch.setattr(core, "_TRAP_DEPTH", 4.0)
-    monkeypatch.setattr(core, "_LOG_CACHE", {})
     with pytest.raises(ConvergenceError):
         gb_eval(0.3 + 0.2j, 0.8)
     code, _, _ = run(capsys, "verify", "--suite", "reflection", "--grid", "small")
@@ -363,3 +370,23 @@ def test_raising_case_becomes_a_failed_error_case(monkeypatch, capsys):
         assert case["passed"] is False
         assert case["flags"] == ["error"]
         assert case["detail"] == "ZeroDivisionError: injected"
+
+
+def _fresh_report(*argv):
+    """A JSON report from a fresh interpreter, without the fields that may vary."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from qdilog.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    report = json.loads(proc.stdout)
+    report.pop("timestamp"), report.pop("elapsed_seconds"), report["config"].pop("threads")
+    return json.dumps(report, sort_keys=True)
+
+
+def test_report_does_not_depend_on_the_thread_count():
+    argv = ("verify", "--suite", "kac", "--grid", "small", "--format", "json")
+    assert _fresh_report(*argv, "--threads", "1") == _fresh_report(*argv, "--threads", "2")

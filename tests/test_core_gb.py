@@ -4,6 +4,7 @@ import cmath
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from qdilog.errors import (
     UnsupportedParameterError,
 )
 from qdilog.quadrature import Arc, Line, integrate_batch
-from qdilog.suites import run_six_nine
 
 B_VALUES = [0.8, 0.6, 1.0, 0.6 + 0.1j]
 
@@ -136,10 +136,11 @@ def test_limits_reject_resonant_modulus():
 
 
 def test_pole_proximity_raises():
-    with pytest.raises(PoleProximityError):
-        gb_eval(0.0, 0.8)
-    with pytest.raises(PoleProximityError):
-        gb_eval(-as_modulus(0.8).b, 0.8)
+    # Also at complex b, where the lattices leave the real axis.
+    for m in (as_modulus(0.8), as_modulus(0.6 + 0.1j)):
+        for z in (0.0, -m.b, -m.b - 2 * m.b_inv + 1e-13j):
+            with pytest.raises(PoleProximityError):
+                gb_eval(z, m)
 
 
 @pytest.mark.parametrize(
@@ -153,9 +154,10 @@ def test_non_finite_argument_is_a_typed_error(z):
 
 
 def test_zero_lattice_returns_exact_zero():
-    m = as_modulus(0.8)
-    assert gb_eval(m.Q, m) == 0.0
-    assert gb_eval(m.Q + m.b + m.b_inv, m) == 0.0
+    for m in (as_modulus(0.8), as_modulus(0.6 + 0.1j)):
+        assert gb_eval(m.Q, m) == 0.0
+        assert gb_eval(m.Q + m.b + m.b_inv, m) == 0.0
+        assert gb_eval(m.Q + 2 * m.b - 1e-13j, m) == 0.0
 
 
 def test_strip_reduce_lands_in_band():
@@ -291,16 +293,6 @@ def test_strip_sum_memory_stays_bounded_near_an_edge():
     assert abs(logs[-1] - cmath.log(gb_eval(zs[-1], m))) < 1e-13
 
 
-def test_suite_survives_cache_overflow(monkeypatch):
-    # Past the cap the cache is cleared between a call's lookups and its
-    # reads; each call must still use the logs it looked up.
-    monkeypatch.setattr(core, "_CACHE_CAP", 50)
-    for _ in range(2):
-        rep = run_six_nine(threads=1, n_random=2)
-        assert [c.detail for c in rep.cases if c.flags] == []
-        assert rep.passed
-
-
 def test_asymptotic_direction_values_disagree_off_axis():
     # The two vertical asymptotics differ by the reflection Gaussian; they
     # must not be interchangeable.
@@ -330,11 +322,75 @@ def test_nearest_lattice_point_identifies_origin():
     assert d == pytest.approx(1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("block", [core._BLOCK, 5])
+@pytest.mark.parametrize("b", [0.8, 0.6, 0.6 + 0.1j])
+def test_lattice_scan_matches_brute_force(b, block, monkeypatch):
+    # The cone {n1 b + n2 / b} below Re 45 lies inside a 60 x 60 grid, so the
+    # grid's minimum is the exact nearest distance for these points.  A tiny
+    # block makes every point take its n1 over several blocks.
+    monkeypatch.setattr(core, "_BLOCK", block)
+    m = as_modulus(b)
+    n = np.arange(60)
+    cone = (n[:, None] * m.b + n[None, :] * m.b_inv).ravel()
+    rng = np.random.default_rng(11)
+    w = rng.uniform(-5, 25, 200) + 1j * rng.uniform(-2, 2, 200)
+    w = np.concatenate([w, cone[[0, 61, 125]] + 1e-13, cone[[1, 60]] - 1e-13j])
+    n1, n2, d = core._nearest_lattice(w, m)
+    brute = np.abs(w[:, None] - cone).min(axis=1)
+    assert np.allclose(d, brute, rtol=1e-12, atol=1e-15)
+    assert np.all(d[-5:] < 1e-12)
+    # The returned indices name a lattice point at that distance.
+    assert np.all(n1 >= 0) and np.all(n2 >= 0)
+    assert np.allclose(np.abs(w - n1 * m.b - n2 * m.b_inv), d, rtol=1e-12, atol=1e-15)
+    pole, zero = core._near_lattice([-w[-1], m.Q + w[-2]], m, 1e-12)
+    assert list(pole) == [True, False] and list(zero) == [False, True]
+
+
+@pytest.mark.parametrize("block", [core._BLOCK, 3])
+@pytest.mark.parametrize("b", [0.8, 0.6 + 0.1j, 1.3])
+def test_shift_product_matches_scalar_shift_equation(b, block, monkeypatch):
+    # func_eq_general multiplies the same factors one at a time.  The greedy
+    # walk moves one way only, so G(z) = C G(z0) gives C = 1 / P(z; n1, n2)
+    # for steps up to z0 and C = P(z0; -n1, -n2) for steps down.
+    monkeypatch.setattr(core, "_BLOCK", block)
+    m = as_modulus(b)
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-30, 30, 40) + 1j * rng.uniform(-1, 1, 40)
+    reds = [strip_reduce(z, m) for z in zs]
+    c = core._shift_product(
+        [r.z0 for r in reds], [r.n1 for r in reds], [r.n2 for r in reds], m
+    )
+    for z, r, got in zip(zs, reds, c):
+        if r.n1 >= 0 and r.n2 >= 0:
+            want = 1.0 / func_eq_general(z, r.n1, r.n2, m)
+        else:
+            want = func_eq_general(r.z0, -r.n1, -r.n2, m)
+        assert rel(got, want) < 1e-12
+
+
+def test_far_point_raises_without_warnings():
+    # The shift product of Re z = 1000 overflows; that must surface as the
+    # typed error alone, with no numpy warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedParameterError, match="not finite"):
+            gb_eval_many([1000 - 0.3j], 0.8)
+
+
 def test_one_minus_exp_small_argument_accuracy():
     w = 1e-9j
     # Direct form loses ~9 digits here; the helper must not.
     exact = -w - w * w / 2 - w**3 / 6
     assert abs(complex(one_minus_exp(w)) - exact) < 1e-24
+
+
+def test_one_minus_exp_near_a_period():
+    # At w = i (6 pi + d) the factor is small although w is not: 1 - e^w
+    # computed directly loses about eps / d of relative accuracy.
+    for d in (1e-4, -3e-7):
+        y = 6.0 * math.pi + d
+        exact = -2j * math.sin(y / 2) * cmath.exp(0.5j * y)
+        assert rel(complex(one_minus_exp(1j * y)), exact) < 1e-15
 
 
 def test_eval_many_matches_scalar_eval():

@@ -19,7 +19,7 @@ EXPORTS = {
     "ModulusParam", "OpIntegral", "ParameterDomainError", "PoleProximityError",
     "PoleSeq", "QdilogError", "RepParams", "SUITES", "ShiftOp",
     "StripDomainError", "Symbol", "UnsupportedParameterError", "as_affine",
-    "as_modulus", "clear_cache", "compose", "const", "fan_points",
+    "as_modulus", "compose", "const", "fan_points",
     "func_eq_general", "gauss_from_products", "gb_asymptotic", "gb_eval",
     "gb_eval_many", "gb_product_oracle", "gen", "integrate_contour", "kac_lhs",
     "kac_lhs_closed_form", "kac_rhs_integral", "kac_substitution_tuple",
