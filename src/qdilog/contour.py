@@ -10,8 +10,10 @@ above every fan that moves downward and below every fan that moves upward;
 when fans touch the axis from both sides the line is bent around individual
 points with small semicircles.
 
-Planning, validation, truncation and panel layout are all derived from the
-symbol itself: fan bases and steps fix the geometry, and the vertical
+One function, _pole_set, lists the poles that survive cancellation in a
+horizontal band as arrays (point, weight, direction).  Planning reads the
+gap edges and the cluster near the midline from one such set; integration
+validates its path, at every truncation, against another.  The vertical
 asymptotics of G_b fix the tail decay and the local oscillation rate used
 to size panels.
 """
@@ -47,24 +49,25 @@ _FAN_CAP = 400
 _EPS_PINCH = 1e-8
 # Narrowest vertical gap between the fan clusters that a straight baseline uses.
 _GAP_MIN = 0.02
+# How far past the outermost fan bases planning looks for surviving poles.
+_DEPTH = 6.0
+# Unit vector e^{-i}: _pole_set sorts points by their projection on it.
+_KEY = complex(math.cos(1.0), -math.sin(1.0))
 
 
 @dataclass(frozen=True)
 class PoleSeq:
     """One fan base + n1*step_b + n2*step_binv (n1, n2 >= 0) of the integrand.
 
-    kind is "pole" or "zero" (of the integrand); direction is the common
-    vertical sign of the two steps; weight is the multiplicity each point
-    carries (|factor exponent|).
+    direction is the common vertical sign of the two steps; weight is the
+    multiplicity each point carries (|factor exponent|).
     """
 
     base: complex
     step_b: complex
     step_binv: complex
     direction: int
-    kind: str
     weight: int
-    factor_index: int
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def pole_sequences(
     m = as_modulus(b)
     poles: list[PoleSeq] = []
     zeros: list[PoleSeq] = []
-    for idx, f in enumerate(spec.symbol.factors):
+    for f in spec.symbol.factors:
         g = complex(f.argument.coeff(spec.var))
         if g == 0:
             continue
@@ -136,21 +139,9 @@ def pole_sequences(
             pole_loc, zero_loc = at_pole_lattice, at_zero_lattice
         else:
             pole_loc, zero_loc = at_zero_lattice, at_pole_lattice
-        w = abs(f.exponent)
-        for target, (base, steps) in (
-            (poles, pole_loc),
-            (zeros, zero_loc),
-        ):
+        for target, (base, steps) in ((poles, pole_loc), (zeros, zero_loc)):
             target.append(
-                PoleSeq(
-                    base=base,
-                    step_b=steps[0],
-                    step_binv=steps[1],
-                    direction=_classify_steps(*steps),
-                    kind="pole" if target is poles else "zero",
-                    weight=w,
-                    factor_index=idx,
-                )
+                PoleSeq(base, *steps, _classify_steps(*steps), abs(f.exponent))
             )
     return poles, zeros
 
@@ -161,76 +152,73 @@ def fan_points(
     im_hi: float,
     re_lo: float = -math.inf,
     re_hi: float = math.inf,
-) -> list:
-    """Fan points inside the box, as a list of complex positions."""
-    out = []
-    s1, s2 = seq.step_b, seq.step_binv
-    if seq.direction < 0:
-        extent1 = (seq.base.imag - im_lo) / abs(s1.imag)
-        extent2 = (seq.base.imag - im_lo) / abs(s2.imag)
-    else:
-        extent1 = (im_hi - seq.base.imag) / abs(s1.imag)
-        extent2 = (im_hi - seq.base.imag) / abs(s2.imag)
-    cap1 = min(_FAN_CAP, int(extent1) + 1) if extent1 >= 0 else -1
-    for n1 in range(cap1 + 1):
-        p1 = seq.base + n1 * s1
-        cap2 = min(_FAN_CAP, int(extent2) + 1) if extent2 >= 0 else -1
-        for n2 in range(cap2 + 1):
-            p = p1 + n2 * s2
-            if im_lo <= p.imag <= im_hi and re_lo <= p.real <= re_hi:
-                out.append(p)
-    return out
+) -> np.ndarray:
+    """Fan points inside the box as a complex array, n1 outer and n2 inner."""
+    reach = seq.base.imag - im_lo if seq.direction < 0 else im_hi - seq.base.imag
+    n1, n2 = (
+        np.arange(min(_FAN_CAP, int(reach / abs(s.imag)) + 1) + 1)
+        if reach >= 0
+        else np.arange(0)
+        for s in (seq.step_b, seq.step_binv)
+    )
+    p = ((seq.base + n1[:, None] * seq.step_b) + n2 * seq.step_binv).ravel()
+    inside = (im_lo <= p.imag) & (p.imag <= im_hi) & (re_lo <= p.real) & (p.real <= re_hi)
+    return p[inside]
 
 
-def _effective_points(
-    pole_seqs, zero_seqs, im_lo, im_hi, re_lo=-math.inf, re_hi=math.inf
-):
-    """Non-cancelled pole points in the box, with their fan direction.
+def _close_pairs(a: np.ndarray, b: np.ndarray, tol: np.ndarray):
+    """Index pairs (i, j), sorted, with |a[i] - b[j]| <= tol[i].
 
-    Cancellation is pointwise with multiplicity: a location is dropped when
-    coincident zeros carry at least the poles' total weight there.
+    Candidates come from a sort along one direction, searched to twice tol
+    to absorb the projection's roundoff: projecting shrinks no distance,
+    and no lattice of the suites lies along it, so few points share a
+    projection.
     """
-    pole_pts: list = []
-    for seq in pole_seqs:
-        for p in fan_points(seq, im_lo, im_hi, re_lo, re_hi):
-            pole_pts.append([p, seq.weight, seq.direction])
-    zero_pts: list = []
-    for seq in zero_seqs:
-        for p in fan_points(seq, im_lo, im_hi, re_lo, re_hi):
-            zero_pts.append([p, seq.weight])
-    merged: list = []
-    for p, w, d in pole_pts:
-        eps = 1e-9 * (1.0 + abs(p))
-        for entry in merged:
-            if abs(entry[0] - p) <= eps and entry[2] == d:
-                entry[1] += w
-                break
-        else:
-            merged.append([p, w, d])
-    out = []
-    for p, w, d in merged:
-        eps = 1e-9 * (1.0 + abs(p))
-        zw = sum(zw_ for zp, zw_ in zero_pts if abs(zp - p) <= eps)
-        if zw < w:
-            out.append((p, w - zw, d))
-    return out
+    kb = (b * _KEY).real
+    order = np.argsort(kb, kind="stable")
+    kb, ka = kb[order], (a * _KEY).real
+    lo = np.searchsorted(kb, ka - 2.0 * tol, "left")
+    n = np.searchsorted(kb, ka + 2.0 * tol, "right") - lo
+    i = np.repeat(np.arange(len(a)), n)
+    j = order[np.arange(len(i)) + np.repeat(lo - np.cumsum(n) + n, n)]
+    keep = np.abs(a[i] - b[j]) <= tol[i]
+    i, j = i[keep], j[keep]
+    by_pair = np.lexsort((j, i))
+    return i[by_pair], j[by_pair]
 
 
-def _fan_top(seq: PoleSeq, zero_seqs, depth: float = 6.0):
-    """Extreme Im of the non-cancelled points of one fan, toward the axis.
+def _fan_arrays(seqs, im_lo: float, im_hi: float):
+    """(points, weights, directions) of the fans' points in the band."""
+    pts = [fan_points(s, im_lo, im_hi) for s in seqs]
+    counts = [len(p) for p in pts]
+    return (
+        np.concatenate([np.zeros(0, complex), *pts]),
+        np.repeat(np.array([s.weight for s in seqs], dtype=int), counts),
+        np.repeat(np.array([s.direction for s in seqs], dtype=int), counts),
+    )
 
-    For a descending fan this is the highest survivor, for an ascending fan
-    the lowest; None when everything within the search depth cancels.
+
+def _pole_set(pole_seqs, zero_seqs, im_lo: float, im_hi: float):
+    """Non-cancelled pole points with im_lo <= Im v <= im_hi, in fan order.
+
+    Returns arrays (point, weight, direction).  A point joins the group of
+    the first point within 1e-9 (1 + |p|) that has its direction, and the
+    weights in a group add.  Zeros within that distance of a group's first
+    point subtract their weight, and a group left with none is dropped.
     """
-    if seq.direction < 0:
-        im_lo, im_hi = seq.base.imag - depth, seq.base.imag + 1e-9
-    else:
-        im_lo, im_hi = seq.base.imag - 1e-9, seq.base.imag + depth
-    eff = _effective_points([seq], zero_seqs, im_lo, im_hi)
-    if not eff:
-        return None
-    ims = [p.imag for p, _, _ in eff]
-    return max(ims) if seq.direction < 0 else min(ims)
+    p, w, d = _fan_arrays(pole_seqs, im_lo, im_hi)
+    z, zw, _ = _fan_arrays(zero_seqs, im_lo, im_hi)
+    i, j = _close_pairs(p, p, 1e-9 * (1.0 + np.abs(p)))
+    later = (j < i) & (d[i] == d[j])
+    first = np.ones(len(p), dtype=bool)
+    for i, j in zip(i[later].tolist(), j[later].tolist()):
+        if first[i] and first[j]:
+            w[j] += w[i]
+            first[i] = False
+    p, w, d = p[first], w[first], d[first]
+    i, j = _close_pairs(p, z, 1e-9 * (1.0 + np.abs(p)))
+    np.subtract.at(w, i, zw[j])
+    return p[w > 0], w[w > 0], d[w > 0]
 
 
 def plan_contour(
@@ -245,18 +233,13 @@ def plan_contour(
     distance between the nearby poles.
     """
     poles, zeros = pole_sequences(spec, bindings, b)
-    down_tops = []
-    up_bottoms = []
-    for seq in poles:
-        top = _fan_top(seq, zeros)
-        if top is None:
-            continue
-        if seq.direction < 0:
-            down_tops.append(top)
-        else:
-            up_bottoms.append(top)
-    lo = max(down_tops) if down_tops else -math.inf
-    hi = min(up_bottoms) if up_bottoms else math.inf
+    base_ims = [s.base.imag for s in poles]
+    pts, _, dirs = _pole_set(
+        poles, zeros, min(base_ims, default=0.0) - _DEPTH,
+        max(base_ims, default=0.0) + _DEPTH,
+    )
+    lo = float(pts.imag[dirs < 0].max(initial=-math.inf))
+    hi = float(pts.imag[dirs > 0].min(initial=math.inf))
 
     gap = hi - lo
     if gap > max(2 * _EPS_PINCH, _GAP_MIN):
@@ -273,30 +256,26 @@ def plan_contour(
         )
 
     y0 = 0.5 * (lo + hi)
-    near = _effective_points(poles, zeros, y0 - 1.0, y0 + 1.0)
+    # The set covers this band: y0 lies within 0.01 of the fan bases' range.
+    near = (y0 - 1.0 <= pts.imag) & (pts.imag <= y0 + 1.0)
+    pts, dirs = pts[near], dirs[near]
     # Pinch: an ascending and a descending pole meeting leaves no room at all.
-    for p, _, d in near:
-        if d >= 0:
-            continue
-        for q, _, du in near:
-            if du > 0 and abs(p - q) <= _EPS_PINCH * (1.0 + abs(p)):
-                raise ContourUnsupportedError(
-                    f"pole fans pinch the contour near v = {p}"
-                )
-    cluster = [p for p, _, _ in near if abs(p.imag - y0) <= 0.25]
-    if len(cluster) >= 2:
-        dmin = min(
-            abs(p - q)
-            for i, p in enumerate(cluster)
-            for q in cluster[i + 1 :]
+    down, up = pts[dirs < 0], pts[dirs > 0]
+    pinched, _ = _close_pairs(down, up, _EPS_PINCH * (1.0 + np.abs(down)))
+    if len(pinched):
+        raise ContourUnsupportedError(
+            f"pole fans pinch the contour near v = {complex(down[pinched[0]])}"
         )
-        radius = dmin / 4.0
+    cluster = pts[np.abs(pts.imag - y0) <= 0.25]
+    if len(cluster) >= 2:
+        gaps = np.abs(cluster[:, None] - cluster[None, :])
+        radius = float(gaps[np.triu_indices(len(cluster), 1)].min()) / 4.0
     else:
         radius = 0.05
     radius = min(radius, 0.1)
 
     bumps = []
-    for p, _, d in near:
+    for p, d in zip(pts.tolist(), dirs.tolist()):
         off = p.imag - y0
         wrong_side = off >= 0 if d < 0 else off <= 0
         if abs(off) <= 0.5 * radius or wrong_side:
@@ -383,39 +362,48 @@ def _march(t_end: float, y0: float, c2: complex, c1: complex, d: int):
     return xs
 
 
-def _path_im(contour: ContourSpec, x: float) -> float:
-    y = contour.baseline
-    for bmp in contour.indentations:
+def _path_im(contour: ContourSpec, x: np.ndarray) -> np.ndarray:
+    """Im of the path at each Re x: the baseline, or the arc of the first
+    bump that holds x."""
+    y = np.full(np.shape(x), contour.baseline)
+    for bmp in reversed(contour.indentations):
         dx = x - bmp.center
-        if abs(dx) < bmp.radius:
-            bulge = math.sqrt(bmp.radius**2 - dx * dx)
-            return y + bulge if bmp.side == "above" else y - bulge
+        bulge = np.sqrt(np.maximum(bmp.radius**2 - dx * dx, 0.0))
+        arc = contour.baseline + bulge if bmp.side == "above" else contour.baseline - bulge
+        y = np.where(np.abs(dx) < bmp.radius, arc, y)
     return y
 
 
-def _validate(contour, poles, zeros, t_left, t_right):
-    """Every surviving pole must sit strictly on its fan's side of the path."""
+def _misplaced_poles(contour: ContourSpec, poles, zeros):
+    """Surviving poles not strictly on their fan's side of the path.
+
+    The band reaches 1 past the baseline and the fan bases on each side,
+    plus the largest bump, so it holds every pole that the path could pass
+    on the wrong side.  Returns (points, directions) in fan order.
+    """
     y0 = contour.baseline
     rmax = max((bmp.radius for bmp in contour.indentations), default=0.0)
-    base_ims = [s.base.imag for s in poles]
-    im_hi = max([y0] + [b for s, b in zip(poles, base_ims) if s.direction < 0]) + 1.0
-    im_lo = min([y0] + [b for s, b in zip(poles, base_ims) if s.direction > 0]) - 1.0
-    eff = _effective_points(
-        poles, zeros, im_lo - rmax, im_hi + rmax, -t_left - 1.0, t_right + 1.0
+    im_hi = max([y0] + [s.base.imag for s in poles if s.direction < 0]) + 1.0
+    im_lo = min([y0] + [s.base.imag for s in poles if s.direction > 0]) - 1.0
+    pts, _, dirs = _pole_set(poles, zeros, im_lo - rmax, im_hi + rmax)
+    margin = 1e-9 * (1.0 + np.abs(pts))
+    path_y = _path_im(contour, pts.real)
+    wrong = np.where(
+        dirs < 0, ~(pts.imag < path_y - margin), ~(pts.imag > path_y + margin)
     )
-    for p, _, d in eff:
-        margin = 1e-9 * (1.0 + abs(p))
-        path_y = _path_im(contour, p.real)
-        if d < 0 and not (p.imag < path_y - margin):
-            raise ContourUnsupportedError(
-                f"descending-fan pole at v = {p} is not strictly below the "
-                f"contour"
-            )
-        if d > 0 and not (p.imag > path_y + margin):
-            raise ContourUnsupportedError(
-                f"ascending-fan pole at v = {p} is not strictly above the "
-                f"contour"
-            )
+    return pts[wrong], dirs[wrong]
+
+
+def _validate(misplaced, t_left: float, t_right: float):
+    """Refuse the path if a misplaced pole has -t_left-1 <= Re v <= t_right+1."""
+    pts, dirs = misplaced
+    hit = np.flatnonzero((-t_left - 1.0 <= pts.real) & (pts.real <= t_right + 1.0))
+    if len(hit):
+        p, d = complex(pts[hit[0]]), dirs[hit[0]]
+        raise ContourUnsupportedError(
+            f"{'descending' if d < 0 else 'ascending'}-fan pole at v = {p} is "
+            f"not strictly {'below' if d < 0 else 'above'} the contour"
+        )
 
 
 def _build_segments(contour: ContourSpec, t_left: float, t_right: float, coeffs):
@@ -491,37 +479,32 @@ def integrate_contour(
         t_right = _tail_cutoff(*coeffs[+1], y0, +1, drop)
         t_left = _tail_cutoff(*coeffs[-1], y0, -1, drop)
 
-    n_extra_evals = 0
-
     def f(vs: np.ndarray) -> np.ndarray:
         return spec.symbol.evaluate_on(spec.var, vs, bindings, m, cfg)
 
-    probe_x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    misplaced = _misplaced_poles(contour, poles, zeros)
+    # This window also covers the probes, so a handed-in contour that sits
+    # on a pole is refused as unsupported rather than tripping the evaluator.
+    _validate(misplaced, max(t_left, 1.0), max(t_right, 1.0))
     # Probe along the actual path: on the baseline this is Im = y0, inside a
     # bump it rides the arc, which keeps probes off the enclosed poles.
-    # Validate the probed window first so a handed-in contour that sits on
-    # a pole is rejected as unsupported rather than tripping the evaluator.
-    _validate(contour, poles, zeros, 1.0, 1.0)
-    probe_pts = probe_x + 1j * np.array(
-        [_path_im(contour, x) for x in probe_x]
-    )
-    m0 = float(np.max(np.abs(f(probe_pts))))
-    n_extra_evals += probe_x.size
+    probe_x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    m0 = float(np.max(np.abs(f(probe_x + 1j * _path_im(contour, probe_x)))))
     m0 = max(m0, 1e-300)
+    n_extra_evals = probe_x.size
 
+    tail_lim = 10.0 * tail_rel * m0
     for attempt in range(4):
-        _validate(contour, poles, zeros, t_left, t_right)
         tails = np.array([-t_left + 1j * y0, t_right + 1j * y0])
         tail_vals = np.abs(f(tails))
         n_extra_evals += 2
-        if attempt == 3 or contour.truncation > 0:
+        if attempt == 3 or contour.truncation > 0 or tail_vals.max() <= tail_lim:
             break
-        if tail_vals.max() <= 10.0 * tail_rel * m0:
-            break
-        if tail_vals[0] > 10.0 * tail_rel * m0:
+        if tail_vals[0] > tail_lim:
             t_left *= 1.4
-        if tail_vals[1] > 10.0 * tail_rel * m0:
+        if tail_vals[1] > tail_lim:
             t_right *= 1.4
+        _validate(misplaced, t_left, t_right)
 
     segments, panels = _build_segments(contour, t_left, t_right, coeffs)
     res = integrate_batch(

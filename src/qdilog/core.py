@@ -244,25 +244,29 @@ def strip_reduce(z: complex, m: ModulusParam) -> StripReduction:
 
     Step choice is greedy: take the larger real step whenever it does not
     overshoot the band; the smaller step never can, since the band is half
-    of Re Q wide.
+    of Re Q wide.  The counts come in closed form: larger steps while the
+    point stays at or below the band's far edge and short of the band, then
+    as many smaller ones as it still needs.  A point above the band walks
+    the mirror image.
     """
     z = complex(z)
     lo = 0.25 * m.Q.real
     hi = 0.75 * m.Q.real
-    # (step, which count it adds to), the larger first; a stable sort keeps
-    # the b-step first at b = 1.
-    big, small = sorted(((m.b.real, 0), (m.b_inv.real, 1)), key=lambda s: -s[0])
-    n = [0, 0]
-    x = z.real
-    while x < lo:
-        step, k = big if x + big[0] <= hi else small
-        n[k] += 1
-        x += step
-    while x > hi:
-        step, k = big if x - big[0] >= lo else small
-        n[k] -= 1
-        x -= step
-    return StripReduction(z0=z + n[0] * m.b + n[1] * m.b_inv, n1=n[0], n2=n[1])
+    x, sign = z.real, 1
+    if x > hi:
+        x, lo, hi, sign = -x, -hi, -lo, -1
+    # At b = 1 the two steps are equal and the b-step counts as the larger.
+    b_big = m.b.real >= m.b_inv.real
+    big, small = (m.b.real, m.b_inv.real) if b_big else (m.b_inv.real, m.b.real)
+    n_big = n_small = 0
+    if x < lo:
+        n_big = min(math.floor((hi - x) / big), math.ceil((lo - x) / big))
+        x += n_big * big
+        if x < lo:
+            n_small = math.ceil((lo - x) / small)
+    n1, n2 = (n_big, n_small) if b_big else (n_small, n_big)
+    n1, n2 = sign * n1, sign * n2
+    return StripReduction(z0=z + n1 * m.b + n2 * m.b_inv, n1=n1, n2=n2)
 
 
 def _shift_product(z0, n1, n2, m: ModulusParam, binv_first: bool = False):

@@ -223,13 +223,9 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus" in err
 
 
-def test_thread_cap_env_is_honored(monkeypatch):
+def test_thread_count_is_clamped():
     from qdilog.suites import _thread_count
 
-    monkeypatch.setenv("QDILOG_THREADS", "2")
-    assert _thread_count(8, 16) == 2
-    assert _thread_count(None, 16) <= 2  # cap binds even for the default
-    monkeypatch.delenv("QDILOG_THREADS")
     assert _thread_count(4, 16) == 4
     assert _thread_count(None, 1) == 1
 

@@ -5,8 +5,10 @@ import pytest
 
 from qdilog import suites
 from qdilog.contour import (
+    _FAN_CAP,
     ContourSpec,
     IntegrationResult,
+    _pole_set,
     integrate_contour,
     plan_contour,
     pole_sequences,
@@ -40,6 +42,79 @@ def test_pole_sequences_of_beta_integrand():
     assert by_dir[+1].base == pytest.approx(1j * alpha)
     assert all(s.weight == 1 for s in poles)
     assert len(zeros) == 2
+
+
+def _reference_pole_set(pole_seqs, zero_seqs, im_lo, im_hi):
+    """Fan points merged and cancelled one by one over Python lists."""
+
+    def fan(seq):
+        out = []
+        s1, s2 = seq.step_b, seq.step_binv
+        if seq.direction < 0:
+            extent1 = (seq.base.imag - im_lo) / abs(s1.imag)
+            extent2 = (seq.base.imag - im_lo) / abs(s2.imag)
+        else:
+            extent1 = (im_hi - seq.base.imag) / abs(s1.imag)
+            extent2 = (im_hi - seq.base.imag) / abs(s2.imag)
+        cap1 = min(_FAN_CAP, int(extent1) + 1) if extent1 >= 0 else -1
+        cap2 = min(_FAN_CAP, int(extent2) + 1) if extent2 >= 0 else -1
+        for n1 in range(cap1 + 1):
+            p1 = seq.base + n1 * s1
+            for n2 in range(cap2 + 1):
+                p = p1 + n2 * s2
+                if im_lo <= p.imag <= im_hi:
+                    out.append(p)
+        return out
+
+    merged = []
+    for seq in pole_seqs:
+        for p in fan(seq):
+            eps = 1e-9 * (1.0 + abs(p))
+            for entry in merged:
+                if abs(entry[0] - p) <= eps and entry[2] == seq.direction:
+                    entry[1] += seq.weight
+                    break
+            else:
+                merged.append([p, seq.weight, seq.direction])
+    zero_pts = [(p, seq.weight) for seq in zero_seqs for p in fan(seq)]
+    out = []
+    for p, w, d in merged:
+        eps = 1e-9 * (1.0 + abs(p))
+        zw = sum(zw_ for zp, zw_ in zero_pts if abs(zp - p) <= eps)
+        if zw < w:
+            out.append((p, w - zw, d))
+    return out
+
+
+def test_pole_set_matches_list_reference():
+    params = make_rep_params(0.8, alpha=0.5, s=0.4, u_samples=(0.1,))
+    q = M8.Q
+    cases = {
+        # A = B = C: three ascending fans coincide and merge to weight 3.
+        "six-nine named-2": (
+            six_nine_integrand(),
+            {"Q": q, "A": q / 8, "B": q / 8, "C": q / 8, "D": q / 3},
+        ),
+        # Fan ends at 0 and 0.32 on the axis itself.
+        "q-binomial cluster": (qbinomial_integral().spec(), rep_bindings(params, 0.1)),
+        # alpha = Q - b: the zeros of 1/G_b(Q + i v) cancel every pole of
+        # G_b(alpha + i v) with n1 >= 1.
+        "zero cancels a pole": (tau_binomial_integrand(), tb_bindings(q - M8.b, q / 6)),
+    }
+    for name, (spec, bindings) in cases.items():
+        poles, zeros = pole_sequences(spec, bindings, M8)
+        ims = [s.base.imag for s in poles]
+        for box in ((min(ims) - 6.0, max(ims) + 6.0), (-1.0, 1.0)):
+            pts, w, d = _pole_set(poles, zeros, *box)
+            ref = _reference_pole_set(poles, zeros, *box)
+            assert pts.tolist() == [p for p, _, _ in ref], name
+            assert w.tolist() == [wt for _, wt, _ in ref], name
+            assert d.tolist() == [dr for _, _, dr in ref], name
+    poles, zeros = pole_sequences(*cases["six-nine named-2"], M8)
+    assert max(_pole_set(poles, zeros, -1.0, 1.0)[1]) == 3
+    poles, zeros = pole_sequences(*cases["zero cancels a pole"], M8)
+    kept = _pole_set(poles, zeros, -1.0, 4.0)[0]
+    assert 0 < len(kept) < len(_pole_set(poles, [], -1.0, 4.0)[0])
 
 
 def test_beta_integrand_baseline_splits_the_gap():

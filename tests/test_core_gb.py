@@ -162,19 +162,55 @@ def test_zero_lattice_returns_exact_zero():
 
 def test_strip_reduce_lands_in_band():
     m = as_modulus(0.8)
-    for z in (-3.7 + 0.4j, 0.01, 5.2 - 1.1j, 100.0 + 3j):
+    for z in (-3.7 + 0.4j, 0.01, 5.2 - 1.1j, 100.0 + 3j, 1e12 + 0.3j, -1e12):
         red = strip_reduce(z, m)
         x = red.z0.real
-        assert 0.25 * m.Q.real - 1e-12 <= x <= 0.75 * m.Q.real + 1e-12
+        slack = 1e-12 + 1e-15 * abs(z)  # roundoff of z + n1 b + n2 / b
+        assert 0.25 * m.Q.real - slack <= x <= 0.75 * m.Q.real + slack
         assert red.z0 == pytest.approx(z + red.n1 * m.b + red.n2 * m.b_inv)
 
 
+def _greedy_walk(x, m):
+    """(n1, n2) of the walk one shift at a time, the larger step whenever it
+    does not overshoot the band."""
+    lo, hi = 0.25 * m.Q.real, 0.75 * m.Q.real
+    big, small = sorted(((m.b.real, 0), (m.b_inv.real, 1)), key=lambda s: -s[0])
+    n = [0, 0]
+    while x < lo:
+        step, k = big if x + big[0] <= hi else small
+        n[k] += 1
+        x += step
+    while x > hi:
+        step, k = big if x - big[0] >= lo else small
+        n[k] -= 1
+        x -= step
+    return n[0], n[1]
+
+
+@pytest.mark.parametrize(
+    "b", [0.8, 0.6, 1.0, 0.3, 1.3, 0.6 + 0.1j, 0.45 + 0.2j, cmath.exp(0.3j)]
+)
+def test_strip_reduce_counts_match_the_greedy_walk(b):
+    # The quarter-grid hits the band edges exactly at b = 1.
+    m = as_modulus(b)
+    xs = np.concatenate(
+        [np.random.default_rng(3).uniform(-100, 100, 1000), np.arange(-20, 20, 0.25)]
+    )
+    for x in xs.tolist():
+        red = strip_reduce(complex(x, 0.3), m)
+        assert (red.n1, red.n2) == _greedy_walk(x, m), x
+
+
 def test_reduction_correction_order_independent():
-    m = as_modulus(0.8)
-    red = strip_reduce(2.6 + 0.35j, m)
-    c1 = reduction_correction(red, m, order="b-first")
-    c2 = reduction_correction(red, m, order="binv-first")
-    assert rel(c1, c2) < 1e-12
+    # 5.4 + 0.35i walks by both kinds of step at both moduli, so the two
+    # orders multiply different factors.
+    for b in (0.8, 0.6):
+        m = as_modulus(b)
+        red = strip_reduce(5.4 + 0.35j, m)
+        assert red.n1 != 0 and red.n2 != 0
+        c1 = reduction_correction(red, m, order="b-first")
+        c2 = reduction_correction(red, m, order="binv-first")
+        assert rel(c1, c2) < 1e-12
     with pytest.raises(ValueError):
         reduction_correction(red, m, order="sideways")
 
