@@ -160,6 +160,9 @@ def one_minus_exp(w):
 # Most factors the lattice scan or the shift product forms at once: this bounds
 # a long walk's memory, and a lone far point pays numpy's overhead per block.
 _BLOCK = 65_536
+# Longest shift walk gb_eval_many takes at any rel_tol: about Re z = 1e7 at
+# b = 0.8 and 2 s of walking.  Above the default-tolerance bound (225,179).
+_MAX_SHIFT_STEPS = 2**23
 
 
 def _nearest_lattice(w, m: ModulusParam):
@@ -467,7 +470,8 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     from the strip, e.g. Re z = 1000 at b = 0.8) it raises
     UnsupportedParameterError naming the first such point.  It raises that
     error up front, too, at a point whose shift walk into the strip would
-    take more than rel_tol / (2 eps) steps (225,179 at rel_tol 1e-10).
+    take more than rel_tol / (2 eps) steps (225,179 at rel_tol 1e-10), or
+    more than 2**23 at any rel_tol.
     """
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
@@ -477,16 +481,21 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
         z = complex(zs[~finite][0])
         raise ParameterDomainError(f"G_b needs a finite argument, got z = {z}")
     # Each shift step adds about 1.5 eps of roundoff to the reduction factor.
-    max_steps = int(cfg.rel_tol / (2.0 * np.finfo(float).eps))
+    roundoff_steps = int(cfg.rel_tol / (2.0 * np.finfo(float).eps))
+    max_steps = min(roundoff_steps, _MAX_SHIFT_STEPS)
     big_step = max(m.b.real, m.b_inv.real)
     far = np.abs(zs.real - 0.5 * m.Q.real) >= (max_steps + 1) * big_step
     if far.any():
         z = complex(zs[far][0])
+        why = (
+            f"their roundoff exceeds rel_tol = {cfg.rel_tol:g}"
+            if max_steps == roundoff_steps
+            else "the walk takes too long"
+        )
         raise UnsupportedParameterError(
             f"G_b(z) at z = {z}, b = {m.b} needs about "
             f"{int(abs(z.real - 0.5 * m.Q.real) / big_step)} shift steps into "
-            f"the strip; beyond {max_steps} their roundoff exceeds "
-            f"rel_tol = {cfg.rel_tol:g}"
+            f"the strip; beyond {max_steps} {why}"
         )
     pts, inverse = _distinct(zs)
     pole, zero = _near_lattice(pts, m, _SNAP_EPS)

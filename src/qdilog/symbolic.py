@@ -1,9 +1,10 @@
 """Exact symbol algebra for products of dilogarithm factors.
 
-Everything here is exact: coefficients are Gaussian rationals (Fraction real
-and imaginary parts), arguments of dilogarithm factors are affine forms over
-named generators, and exponential prefactors are quadratic forms in those
-generators with Gaussian-rational coefficients, in units of pi.
+Everything here is exact: coefficients are Gaussian rationals (a + b i) / d
+held as three Python ints in lowest terms, arguments of dilogarithm factors
+are affine forms over named generators, and exponential prefactors are
+quadratic forms in those generators with Gaussian-rational coefficients, in
+units of pi.  No float enters this layer until a symbol is evaluated.
 
 Generators stand for already-b-scaled real quantities (bs for b*s, btau for
 b*tau, ...) plus the special names u, alpha, Q and the constant generator
@@ -20,6 +21,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -43,71 +45,140 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GaussRat:
-    """Gaussian rational re + im*i with exact Fraction components."""
+    """Gaussian rational (a + b i) / d, held as three ints.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The normal form has d > 0 and gcd(a, b, d) = 1, so two values are equal
+    exactly when their triples are.  Each operation normalises its result
+    once; .re and .im are Fraction views of the parts.  The hash and the
+    sort key are cached on first use (threads that race store equal values).
+    """
+
+    __slots__ = ("_a", "_b", "_d", "_hash", "_key")
+
+    def __init__(self, re=0, im=0):
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # With each part in lowest terms, (p (d/q), r (d/s), d) over the
+        # least common denominator d is already in normal form.
+        d = q // gcd(q, s) * s
+        self._a = p * (d // q)
+        self._b = r * (d // s)
+        self._d = d
 
     @staticmethod
     def of(x) -> "GaussRat":
         if isinstance(x, GaussRat):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRat(Fraction(x), Fraction(0))
+        if isinstance(x, int):
+            return _raw(x, 0, 1)
+        if isinstance(x, Fraction):
+            return _raw(x.numerator, 0, x.denominator)
         if isinstance(x, tuple) and len(x) == 2:
-            return GaussRat(Fraction(x[0]), Fraction(x[1]))
+            return GaussRat(x[0], x[1])
         if isinstance(x, (float, complex)):
             # Literals like 2.0 or -1j are welcome; anything with a fractional
             # binary part must be spelled as a Fraction pair to stay exact.
+            # is_integer() is False for nan and inf as well.
             re, im = complex(x).real, complex(x).imag
-            if re == int(re) and im == int(im):
-                return GaussRat(Fraction(int(re)), Fraction(int(im)))
+            if re.is_integer() and im.is_integer():
+                return _raw(int(re), int(im), 1)
         raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def __add__(self, other) -> "GaussRat":
-        o = GaussRat.of(other)
-        return GaussRat(self.re + o.re, self.im + o.im)
+        if other.__class__ is not GaussRat:
+            other = GaussRat.of(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _normal(self._a + other._a, self._b + other._b, d)
+        return _normal(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     def __sub__(self, other) -> "GaussRat":
-        o = GaussRat.of(other)
-        return GaussRat(self.re - o.re, self.im - o.im)
+        if other.__class__ is not GaussRat:
+            other = GaussRat.of(other)
+        return self + (-other)
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __mul__(self, other) -> "GaussRat":
-        o = GaussRat.of(other)
-        return GaussRat(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if other.__class__ is not GaussRat:
+            other = GaussRat.of(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _normal(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __truediv__(self, other) -> "GaussRat":
-        o = GaussRat.of(other)
-        n = o.re * o.re + o.im * o.im
+        if other.__class__ is not GaussRat:
+            other = GaussRat.of(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        f = other._d
+        return _normal(f * (a * c + b * e), f * (b * c - a * e), self._d * n)
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussRat:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self._a, self._b, self._d))
+            return h
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, the same float as float(Fraction).
+        return complex(self._a / self._d, self._b / self._d)
 
     def sort_key(self):
-        return (self.re, self.im)
+        try:
+            return self._key
+        except AttributeError:
+            self._key = k = (self.re, self.im)
+            return k
 
     def __repr__(self) -> str:
-        if self.im == 0:
-            return f"{self.re}"
-        if self.re == 0:
-            return f"{self.im}i"
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return f"{re}"
+        if re == 0:
+            return f"{im}i"
+        return f"({re}{'+' if im >= 0 else ''}{im}i)"
+
+
+def _raw(a: int, b: int, d: int) -> GaussRat:
+    """The GaussRat (a + b i) / d of a triple already in normal form."""
+    g = object.__new__(GaussRat)
+    g._a = a
+    g._b = b
+    g._d = d
+    return g
+
+
+def _normal(a: int, b: int, d: int) -> GaussRat:
+    """The GaussRat (a + b i) / d for any d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _raw(a, b, d)
 
 
 GR_ZERO = GaussRat()
@@ -163,20 +234,24 @@ class AffineForm:
 
     @staticmethod
     def make(terms: Iterable[tuple], const=GR_ZERO) -> "AffineForm":
+        const = GaussRat.of(const)
         acc: dict[str, GaussRat] = {}
         for name, c in terms:
-            c = GaussRat.of(c)
+            if c.__class__ is not GaussRat:
+                c = GaussRat.of(c)
             if name == "unit":
-                const = GaussRat.of(const) + c
-                continue
-            acc[name] = acc.get(name, GR_ZERO) + c
+                const = const + c
+            elif name in acc:
+                acc[name] = acc[name] + c
+            else:
+                acc[name] = c
         cleaned = tuple(
             sorted(
                 ((n, c) for n, c in acc.items() if not c.is_zero()),
                 key=lambda nc: _rank(nc[0]),
             )
         )
-        return AffineForm(cleaned, GaussRat.of(const))
+        return AffineForm(cleaned, const)
 
     def __add__(self, other) -> "AffineForm":
         o = as_affine(other)
@@ -234,9 +309,11 @@ class AffineForm:
 
 
 def gen(name: str) -> AffineForm:
-    """The affine form consisting of a single generator."""
+    """The affine form consisting of a single generator ('unit' is const(1))."""
     if not isinstance(name, str) or not name:
         raise TypeError("generator names are nonempty strings")
+    if name == "unit":
+        return AffineForm((), GR_ONE)
     return AffineForm(((name, GR_ONE),), GR_ZERO)
 
 
@@ -275,12 +352,14 @@ class GaussExponent:
     @staticmethod
     def make(entries: Iterable[tuple]) -> "GaussExponent":
         acc: dict[tuple, GaussRat] = {}
-        for pair, c in entries:
-            a, b = pair
-            if _rank(a) > _rank(b):
-                a, b = b, a
-            c = GaussRat.of(c)
-            acc[(a, b)] = acc.get((a, b), GR_ZERO) + c
+        for (a, b), c in entries:
+            key = (a, b) if _rank(a) <= _rank(b) else (b, a)
+            if c.__class__ is not GaussRat:
+                c = GaussRat.of(c)
+            if key in acc:
+                acc[key] = acc[key] + c
+            else:
+                acc[key] = c
         cleaned = tuple(
             sorted(
                 ((p, c) for p, c in acc.items() if not c.is_zero()),
@@ -318,11 +397,11 @@ class GaussExponent:
             return self
         entries = []
         for (a, b), c in self.terms:
-            fa = form if a == name else gen(a) if a != "unit" else const(1)
-            fb = form if b == name else gen(b) if b != "unit" else const(1)
             if a != name and b != name:
                 entries.append(((a, b), c))
                 continue
+            fa = form if a == name else gen(a)
+            fb = form if b == name else gen(b)
             for n1, c1 in _affine_items(fa):
                 for n2, c2 in _affine_items(fb):
                     entries.append(((n1, n2), c * c1 * c2))

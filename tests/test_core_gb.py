@@ -311,6 +311,15 @@ def test_far_shift_walk_is_refused_up_front():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_far_shift_walk_is_refused_at_loose_tolerance():
+    # rel_tol 1e-6 allows 2.25e9 steps of roundoff; the fixed ceiling of
+    # 2**23 steps still refuses 8e8 steps up front.
+    t0 = time.perf_counter()
+    with pytest.raises(UnsupportedParameterError, match="shift steps"):
+        gb_eval(1e9 + 0.3j, 0.8, EvalConfig(rel_tol=1e-6))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_strip_sum_memory_stays_bounded_near_an_edge():
     # One point at Re z = 1e-3 needs about 86,000 nodes; summed in blocks,
     # the batch's memory must not grow with that count.

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qdilog import suites
 from qdilog.core import as_modulus
 from qdilog.errors import DegenerateParameterError
 from qdilog.operators import (
@@ -92,6 +93,24 @@ def test_weyl_powers_form_one_parameter_groups(kind):
 def test_weyl_rejects_unknown_kind():
     with pytest.raises(ValueError):
         weyl_power("U3", Fraction(1, 2))
+
+
+def test_no_float_enters_the_exact_layer(monkeypatch):
+    def no_float(self):
+        raise AssertionError("float conversion inside the exact layer")
+
+    monkeypatch.setattr(GaussRat, "__complex__", no_float)
+    monkeypatch.setattr(Fraction, "__float__", no_float)
+    r = RATIONALS
+    assert verify_KK(r[0], r[1])
+    assert verify_KE(r[2], r[3])
+    assert verify_KF(r[1], r[2])
+    assert verify_EE(r[0], r[3])
+    assert verify_FF(r[3], r[1])
+    assert verify_weyl(r[2], r[0])
+    report = suites.run_theorem31_exact(n=2)
+    assert len(report.cases) == 3
+    assert report.passed, [c.detail for c in report.cases]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact-arithmetic layer: Gaussian rationals, affine forms, symbols."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,82 @@ def test_gaussrat_of_literals():
         GaussRat.of("1/2")
 
 
+@pytest.mark.parametrize(
+    "x", [float("nan"), float("inf"), -float("inf"), complex(float("inf"), 0),
+          complex(0, float("nan"))]
+)
+def test_gaussrat_of_non_finite_floats(x):
+    with pytest.raises(TypeError, match="as a Gaussian rational"):
+        GaussRat.of(x)
+
+
+def _triple(g):
+    # The stored integers (a, b, d) of g = (a + b i) / d.
+    return g._a, g._b, g._d
+
+
+wide_fractions = st.fractions(max_denominator=10**6)
+wide_gaussrats = st.builds(GaussRat, wide_fractions, wide_fractions)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(wide_gaussrats, wide_gaussrats)
+def test_gaussrat_results_are_in_normal_form(a, b):
+    results = [a + b, a - b, a * b, -a]
+    if not b.is_zero():
+        results.append(a / b)
+    for r in results:
+        x, y, d = _triple(r)
+        assert d > 0 and math.gcd(x, y, d) == 1, (r, x, y, d)
+
+
+def test_gaussrat_equality_and_hash_follow_the_value():
+    half = GaussRat(Fraction(1, 2), 0)
+    assert GaussRat(Fraction(2, 4), 0) == half
+    assert hash(GaussRat(Fraction(2, 4), 0)) == hash(half)
+    assert GaussRat(Fraction(1, 2), Fraction(1, 3)) == GaussRat.of(
+        (Fraction(3, 6), Fraction(2, 6))
+    )
+    assert GaussRat(3, 0) != 3 and not GaussRat(3, 0) == Fraction(3)
+    assert GaussRat(Fraction(1, 2), Fraction(1, 3)) != GaussRat(Fraction(1, 2))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(wide_fractions, wide_fractions, wide_fractions, wide_fractions)
+def test_gaussrat_ring_matches_fraction_pairs(ar, ai, br, bi):
+    a, b = GaussRat(ar, ai), GaussRat(br, bi)
+    assert (a.re, a.im) == (ar, ai)
+    assert complex(a) == complex(float(ar), float(ai))
+    expected = {
+        "+": (ar + br, ai + bi),
+        "-": (ar - br, ai - bi),
+        "*": (ar * br - ai * bi, ar * bi + ai * br),
+    }
+    n = br * br + bi * bi
+    if n:
+        expected["/"] = ((ar * br + ai * bi) / n, (ai * br - ar * bi) / n)
+    ops = {"+": a + b, "-": a - b, "*": a * b}
+    if n:
+        ops["/"] = a / b
+    for op, r in ops.items():
+        assert (r.re, r.im) == expected[op], op
+        assert r == GaussRat(*expected[op]), op
+
+
+def test_gaussrat_sort_key_orders_as_fraction_pairs():
+    rng = np.random.default_rng(3)
+    pairs = [
+        (Fraction(int(p), int(q)), Fraction(int(r), int(s)))
+        for p, q, r, s in zip(
+            rng.integers(-50, 50, 300), rng.integers(1, 40, 300),
+            rng.integers(-3, 3, 300), rng.integers(1, 7, 300),
+        )
+    ]
+    values = [GaussRat(re, im) for re, im in pairs]
+    order = sorted(range(len(values)), key=lambda k: values[k].sort_key())
+    assert order == sorted(range(len(pairs)), key=lambda k: pairs[k])
+
+
 # ---------------------------------------------------------------------------
 # Affine forms
 
@@ -125,6 +202,14 @@ def test_affine_unit_pseudogenerator_folds_into_const():
     f = AffineForm.make([("unit", GaussRat.of(3)), ("x", GaussRat.of(1))])
     assert f.const == GaussRat.of(3)
     assert f.evaluate({"x": 2.0}) == pytest.approx(5.0)
+
+
+def test_unit_generator_is_the_constant_one():
+    assert gen("unit") == const(1)
+    assert gen("unit") == gen("unit") + gen("x") - gen("x")
+    assert gen("unit").scale(GaussRat.of(2j)) == const(GaussRat.of(2j))
+    eq, diff = symbol_equal_exact(Symbol.gb(gen("unit")), Symbol.gb(const(1)))
+    assert eq, diff
 
 
 # ---------------------------------------------------------------------------
