@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from .core import EvalConfig, _near_lattice, as_modulus, gb_eval, small_gb
+from .core import EvalConfig, _near_lattice, as_modulus, gb_eval, gb_eval_many, small_gb
 from .errors import (
     ContourUnsupportedError,
     ConvergenceError,
@@ -209,6 +209,47 @@ def _eval_config(cfg: RunConfig) -> EvalConfig | None:
     return EvalConfig(rel_tol=cfg.rel_tol)
 
 
+def _value_row(k: int, z: complex, v: complex, rel: float, near: bool) -> EvalRow:
+    flags = ("pole-proximity",) if near else ()
+    return EvalRow(k, z, v, rel * abs(v), flags=flags)
+
+
+def _eval_rows(what: str, points: list, m, ecfg, rel: float) -> list:
+    """One EvalRow per point.
+
+    G_b takes all of a request's points in one gb_eval_many call.  If that
+    raises, each point is evaluated alone, so that only the failing points
+    become error rows.
+    """
+    if what == "Gb":
+        try:
+            values = gb_eval_many(points, m, ecfg).tolist()
+        except QdilogError:
+            pass
+        else:
+            near = _near_lattice(points, m, POLE_FLAG_DISTANCE).any(axis=0)
+            return [
+                _value_row(k, z, v, rel, bool(n))
+                for k, (z, v, n) in enumerate(zip(points, values, near))
+            ]
+    rows = []
+    for k, z in enumerate(points):
+        try:
+            v = gb_eval(z, m, ecfg) if what == "Gb" else small_gb(z, m, ecfg)
+        except PoleProximityError as exc:
+            flags = ("pole-proximity",)
+            rows.append(EvalRow(k, z, None, None, flags=flags, detail=str(exc)))
+            continue
+        except QdilogError as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+            rows.append(EvalRow(k, z, None, None, flags=("error",), detail=detail))
+            continue
+        # G_b took z, so z is finite and its lattice distance defined.
+        near = what == "Gb" and _near_lattice(z, m, POLE_FLAG_DISTANCE).any()
+        rows.append(_value_row(k, z, v, rel, bool(near)))
+    return rows
+
+
 def _cmd_eval(args, cfg: RunConfig) -> tuple:
     t0 = time.perf_counter()
     m = as_modulus(cfg.b)
@@ -223,32 +264,7 @@ def _cmd_eval(args, cfg: RunConfig) -> tuple:
         if not args.points:
             raise ValueError("eval needs --points for Gb and gb")
         points = [parse_complex(tok) for tok in args.points.split(",") if tok]
-        for k, z in enumerate(points):
-            try:
-                if args.what == "Gb":
-                    v = gb_eval(z, m, ecfg)
-                else:
-                    v = small_gb(z, m, ecfg)
-            except PoleProximityError as exc:
-                flags = ("pole-proximity",)
-                rows.append(EvalRow(k, z, None, None, flags=flags, detail=str(exc)))
-                continue
-            except QdilogError as exc:
-                rows.append(
-                    EvalRow(
-                        k,
-                        z,
-                        None,
-                        None,
-                        flags=("error",),
-                        detail=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            # G_b took z, so z is finite and its lattice distance defined.
-            near = args.what == "Gb" and _near_lattice(z, m, POLE_FLAG_DISTANCE).any()
-            flags = ("pole-proximity",) if near else ()
-            rows.append(EvalRow(k, z, v, rel * abs(v), flags=flags))
+        rows = _eval_rows(args.what, points, m, ecfg, rel)
     report = EvalReport(
         what=args.what,
         b=complex(m.b),

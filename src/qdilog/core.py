@@ -19,7 +19,11 @@ Evaluation strategy: walk the argument into the middle band of the strip
 with the shift equations (accumulating the exact product of shift factors),
 then sum the defining integral by the trapezoidal rule on the line
 Im t = c (Im z >= 0) or Im t = -c plus the residue at t = 0 (Im z < 0),
-c = pi min(Re b, Re 1/b), many reduced points to one batch.
+c = pi min(Re b, Re 1/b), many reduced points to one batch.  The nodes of
+that sum lie on one arithmetic progression, so its exponentials factor:
+e^{z t_k} for the 16 nodes of a row is one exponential at the row's first
+node times a (points x 16) table of e^{z j h} shared by every row, and the
+rest of the sum is two small products (even and odd nodes) per block of rows.
 Far from the real axis the integral is skipped entirely in favor of the
 asymptotic laws G_b -> 1/zeta_b (Im z -> +inf) and
 G_b -> zeta_b e^{pi i z(z-Q)} (Im z -> -inf).
@@ -333,6 +337,9 @@ _STRIP_CHUNK = 384
 # Nodes summed at once: a point near a strip edge needs about reach / (h Re z)
 # of them (86M at Re z = 1e-6), so they go in blocks to bound the memory.
 _NODE_BLOCK = 1024
+# Nodes per row of the factored sum (see _log_gb_strip_batch); even, and a
+# divisor of _NODE_BLOCK.
+_ROW = 16
 
 
 def _log_gb_strip_batch(
@@ -344,8 +351,21 @@ def _log_gb_strip_batch(
     Re 1/b), and decays both ways, so the sum on Im t = c converges
     geometrically.  For Im z0 < 0, e^{z0 t} decays on Im t = -c instead; that
     line passes below t = 0, whose residue adds log zeta + pi i z0 (z0 - Q).
-    Nodes sit at (k + 1/4) h, so z and Q - z fall on interleaved grids.  The
-    step-2h sum checks each point: err(T_h) ~ |T_h - T_2h|^2 <= 0.5 rel_tol.
+    Nodes sit at t_k = (k + 1/4) h + i c, so z and Q - z fall on interleaved
+    grids.  The step-2h sum checks each point: err(T_h) ~ |T_h - T_2h|^2 <=
+    0.5 rel_tol.
+
+    The exponentials factor.  The nodes go in rows of _ROW, aligned at
+    k = 0 mod _ROW so that no row straddles t = 0, and for k = a _ROW + j
+
+        e^{z' t_k} = e^{z' t_{a _ROW}} * e^{z j h},
+
+    with z' = z left of the origin and z - Q right of it, where the leftover
+    e^{-Q j h} joins the node weights.  One (points x _ROW) table of e^{z j h}
+    serves every row, and each row costs one exponential per point.  A block
+    of rows is then two small products, of the table's even and odd columns
+    with the matching weights, each followed by a sum along the rows: the
+    nodes of even k give T_2h, and both parities together T_h.
     """
     tail_target = cfg.rel_tol * 10.0 ** (-cfg.trunc_margin)
     # log_gb_strip has checked that both distances are positive.
@@ -357,32 +377,51 @@ def _log_gb_strip_batch(
     k_lo = math.floor(-reach / lam_left / h)
     k_hi = math.ceil(reach / lam_right / h)
     ctype = np.clongdouble if cfg.precision == "extended" else np.complex128
+    hh = ctype(h).real
     target = math.sqrt(0.5 * cfg.rel_tol)
+    jh = np.arange(_ROW) * hh
+    right_tilt = np.exp(-ctype(m.Q) * jh)
+    rows_per_block = _NODE_BLOCK // _ROW
+    a_lo, a_hi = k_lo // _ROW, -(-k_hi // _ROW)
     out = np.empty(len(z0s), dtype=complex)
     for rows, side in ((z0s.imag >= 0, 1.0), (z0s.imag < 0, -1.0)):
         if not rows.any():
             continue
         z = np.asarray(z0s[rows], dtype=ctype)
-        t_h = t_2h = 0.0
-        for k0 in range(k_lo, k_hi, _NODE_BLOCK):
-            x = (np.arange(k0, min(k0 + _NODE_BLOCK, k_hi)) + 0.25) * ctype(h).real
+        step = np.exp(np.outer(z, jh))
+        # Sums over the nodes of even k and of odd k, which are the even and
+        # the odd j of each row.
+        sums = np.zeros((2, len(z)), dtype=ctype)
+        for a0 in range(a_lo, a_hi, rows_per_block):
+            a = np.arange(a0, min(a0 + rows_per_block, a_hi))
+            k0 = a0 * _ROW
+            x = (np.arange(k0, k0 + len(a) * _ROW) + 0.25) * hh
+            t = x.reshape(-1, _ROW) + np.asarray(1j * side * c, dtype=ctype)
             # Right of the origin the factors are rewritten as e^{(z0-Q)t}
             # over (1-e^{-bt})(1-e^{-t/b}), so nothing overflows.
-            right = x >= 0
-            sign = np.where(right, -1.0, 1.0)
-            t = x + np.asarray(1j * side * c, dtype=ctype)
+            right = a >= 0
+            sign = np.where(right, -1.0, 1.0)[:, None]
             w = h / (
                 t * one_minus_exp(sign * m.b * t) * one_minus_exp(sign * m.b_inv * t)
             )
-            e = np.outer(z, t)
-            e -= np.where(right, ctype(m.Q) * t, 0.0)
-            np.exp(e, out=e)
-            # The subsum takes the nodes of even k.  einsum, not `@`: on two
-            # cores OpenBLAS's threaded product of this shape took longer
-            # than the exponentials.
-            even = slice(k0 % 2, None, 2)
-            t_h = t_h + np.einsum("pk,k->p", e, w)
-            t_2h = t_2h + np.einsum("pk,k->p", e[:, even], w[even])
+            # The first and last rows may reach past [k_lo, k_hi).
+            nodes = w.reshape(-1)
+            nodes[: max(k_lo - k0, 0)] = 0.0
+            nodes[max(k_hi - k0, 0) :] = 0.0
+            w[right] *= right_tilt
+            n_left = len(a) - int(right.sum())
+            head = np.empty((len(z), len(a)), dtype=ctype)
+            head[:, :n_left] = np.outer(z, t[:n_left, 0])
+            head[:, n_left:] = np.outer(z - m.Q, t[n_left:, 0])
+            np.exp(head, out=head)
+            # einsum, not `@`: with OpenBLAS free to thread on two cores, `@`
+            # made a 384-point batch 2.5-5 times slower while the other core
+            # was busy (16 ms against 0.6 ms in one run).  einsum's own loop
+            # does not depend on the thread setting.
+            for j0 in (0, 1):
+                prod = np.einsum("pj,aj->pa", step[:, j0::2], w[:, j0::2])
+                sums[j0] += np.einsum("pa,pa->p", head, prod)
+        t_2h, t_h = sums[0], sums[0] + sums[1]
         gap = np.abs(t_h - 2.0 * t_2h)
         if not (gap <= target).all():
             worst = int(np.argmax(gap))  # a NaN gap is taken first

@@ -295,11 +295,26 @@ class AffineForm:
             total += complex(c) * _lookup(bindings, n)
         return total
 
+    # Symbol.make sorts and hashes the same forms over and over, so each
+    # form keeps its key and hash once computed (the fields are frozen).
     def sort_key(self):
-        return (
-            tuple((_rank(n), c.sort_key()) for n, c in self.terms),
-            self.const.sort_key(),
-        )
+        try:
+            return self._key
+        except AttributeError:
+            k = (
+                tuple((_rank(n), c.sort_key()) for n, c in self.terms),
+                self.const.sort_key(),
+            )
+            object.__setattr__(self, "_key", k)
+            return k
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.terms, self.const))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         parts = [f"{c}*{n}" for n, c in self.terms]

@@ -329,6 +329,30 @@ def test_eval_point_on_a_pole_is_a_flagged_empty_row(capsys):
     assert out.splitlines()[1] == "0,0.0,0.0,,,,pole-proximity"
 
 
+def _gb_rows(capsys, points):
+    code, out, _ = run(
+        capsys, "eval", "--what", "Gb", "--points=" + ",".join(points), "--format", "json"
+    )
+    assert code == EXIT_PASS
+    return json.loads(out)["rows"]
+
+
+def test_eval_request_matches_per_point_evaluation(capsys):
+    # G_b takes a request's points in one batch.  A point that fails sends
+    # the request back to one point at a time, so every row, flag and error
+    # detail reads as it does when that point is requested alone.
+    good = ["0.5+0.2i", "1.3-0.4i", "-0.8+0.0005i", "2.9+0.4i"]
+    mixed = [good[0], "0", good[1], "1e9+0.3i", "1000-0.3i", good[2], "nan", good[3]]
+    for k, (p, row) in enumerate(zip(mixed, _gb_rows(capsys, mixed))):
+        alone = {**_gb_rows(capsys, [p])[0], "index": k}
+        assert json.dumps(row, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    m = as_modulus(0.8)
+    for p, row in zip(good, _gb_rows(capsys, good)):
+        v, z = complex(row["value"]["re"], row["value"]["im"]), parse_complex(p)
+        assert abs(v - gb_eval(z, m)) <= 1e-14 * abs(v)
+        assert row["flags"] == (["pole-proximity"] if p == good[2] else [])
+
+
 def test_rel_tol_reaches_the_evaluator(capsys):
     z = 0.5 + 0.2j
     code, out, _ = run(

@@ -356,6 +356,51 @@ def test_extended_precision_agrees_with_standard():
     assert rel(a, c) < 2e-10
 
 
+def _direct_strip_sum(z0s, m, cfg):
+    """The strip sum as one (points x nodes) table of exponentials.
+
+    Same nodes, weights and node range as core._log_gb_strip_batch, without
+    its factoring: the reference for the factored sum.
+    """
+    tail = cfg.rel_tol * 10.0 ** (-cfg.trunc_margin)
+    reach = -math.log(tail) + 4.0
+    c = math.pi * m.min_re_step
+    h = 2.0 * math.pi * core._TRAP_DEPTH * c / math.log(1e3 / tail)
+    k_lo = math.floor(-reach / z0s.real.min() / h)
+    k = np.arange(k_lo, math.ceil(reach / (m.Q.real - z0s.real.max()) / h))
+    ctype = np.clongdouble if cfg.precision == "extended" else np.complex128
+    out = np.empty(len(z0s), dtype=complex)
+    for rows, side in ((z0s.imag >= 0, 1.0), (z0s.imag < 0, -1.0)):
+        z, zc = z0s[rows].astype(ctype), z0s[rows]
+        t = (k + 0.25) * ctype(h).real + np.asarray(1j * side * c, dtype=ctype)
+        s = np.where(k >= 0, -1.0, 1.0)
+        w = h / (t * one_minus_exp(s * m.b * t) * one_minus_exp(s * m.b_inv * t))
+        e = np.exp(np.where(k >= 0, np.outer(z - m.Q, t), np.outer(z, t)))
+        base = -m.log_zeta if side > 0 else m.log_zeta + 1j * math.pi * zc * (zc - m.Q)
+        out[rows] = base - (e @ w).astype(complex)
+    return out
+
+
+@pytest.mark.parametrize("b", [0.8, 0.6, 0.6 + 0.1j, 1.0, 0.3])
+def test_factored_strip_sum_matches_direct_sum(b):
+    m = as_modulus(b)
+    rng = np.random.default_rng(11)
+    top = 0.95 * core._ASYM_THRESHOLD / m.min_re_step
+    batches = [np.array([0.4 * m.Q.real + 0.3j]), np.array([0.6 * m.Q.real - 0.3j])]
+    for n, (lo, hi) in ((20, (0.05, 0.95)), (384, (0.25, 0.75))):
+        re = (lo + (hi - lo) * rng.random(n)) * m.Q.real
+        batches.append(re + 1j * rng.uniform(-top, top, n))
+    # Re z = 1e-3 takes the node range across dozens of blocks.
+    batches.append(np.append(batches[2][:5], 1e-3 + 0.2j))
+    cfg = EvalConfig()
+    for zs in batches:
+        got = core._log_gb_strip_batch(zs, m, cfg)
+        assert np.max(np.abs(got - _direct_strip_sum(zs, m, cfg))) < 1e-14
+    ext = EvalConfig(precision="extended")
+    got = core._log_gb_strip_batch(batches[2], m, ext)
+    assert np.max(np.abs(got - _direct_strip_sum(batches[2], m, ext))) < 1e-14
+
+
 def test_nearest_lattice_point_identifies_origin():
     m = as_modulus(0.8)
     n1, n2, point, d = nearest_lattice_point(1e-5 + 0j, m)
