@@ -393,14 +393,15 @@ def _log_gb_strip_batch(
         # the odd j of each row.
         sums = np.zeros((2, len(z)), dtype=ctype)
         for a0 in range(a_lo, a_hi, rows_per_block):
-            a = np.arange(a0, min(a0 + rows_per_block, a_hi))
+            n_rows = min(rows_per_block, a_hi - a0)
+            n_left = min(max(-a0, 0), n_rows)  # rows a < 0 come first
             k0 = a0 * _ROW
-            x = (np.arange(k0, k0 + len(a) * _ROW) + 0.25) * hh
+            x = (np.arange(k0, k0 + n_rows * _ROW) + 0.25) * hh
             t = x.reshape(-1, _ROW) + np.asarray(1j * side * c, dtype=ctype)
             # Right of the origin the factors are rewritten as e^{(z0-Q)t}
             # over (1-e^{-bt})(1-e^{-t/b}), so nothing overflows.
-            right = a >= 0
-            sign = np.where(right, -1.0, 1.0)[:, None]
+            sign = np.ones((n_rows, 1))
+            sign[n_left:] = -1.0
             w = h / (
                 t * one_minus_exp(sign * m.b * t) * one_minus_exp(sign * m.b_inv * t)
             )
@@ -408,9 +409,8 @@ def _log_gb_strip_batch(
             nodes = w.reshape(-1)
             nodes[: max(k_lo - k0, 0)] = 0.0
             nodes[max(k_hi - k0, 0) :] = 0.0
-            w[right] *= right_tilt
-            n_left = len(a) - int(right.sum())
-            head = np.empty((len(z), len(a)), dtype=ctype)
+            w[n_left:] *= right_tilt
+            head = np.empty((len(z), n_rows), dtype=ctype)
             head[:, :n_left] = np.outer(z, t[:n_left, 0])
             head[:, n_left:] = np.outer(z - m.Q, t[n_left:, 0])
             np.exp(head, out=head)
