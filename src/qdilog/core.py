@@ -246,8 +246,8 @@ class StripReduction:
     n2: int
 
 
-def strip_reduce(z: complex, m: ModulusParam) -> StripReduction:
-    """Shift z by the lattice into the band Re Q/4 <= Re z0 <= 3 Re Q/4.
+def _strip_reduce_many(z: np.ndarray, m: ModulusParam):
+    """Arrays (z0, n1, n2): z0 = z + n1 b + n2 / b in the band Re Q/4..3 Re Q/4.
 
     Step choice is greedy: take the larger real step whenever it does not
     overshoot the band; the smaller step never can, since the band is half
@@ -256,24 +256,36 @@ def strip_reduce(z: complex, m: ModulusParam) -> StripReduction:
     as many smaller ones as it still needs.  A point above the band walks
     the mirror image.
     """
-    z = complex(z)
-    lo = 0.25 * m.Q.real
-    hi = 0.75 * m.Q.real
-    x, sign = z.real, 1
-    if x > hi:
-        x, lo, hi, sign = -x, -hi, -lo, -1
+    lo, hi = 0.25 * m.Q.real, 0.75 * m.Q.real
+    sign = np.where(z.real > hi, -1, 1)
+    x = sign * z.real
+    lo, hi = np.where(sign < 0, -hi, lo), np.where(sign < 0, -lo, hi)
     # At b = 1 the two steps are equal and the b-step counts as the larger.
     b_big = m.b.real >= m.b_inv.real
     big, small = (m.b.real, m.b_inv.real) if b_big else (m.b_inv.real, m.b.real)
-    n_big = n_small = 0
-    if x < lo:
-        n_big = min(math.floor((hi - x) / big), math.ceil((lo - x) / big))
-        x += n_big * big
-        if x < lo:
-            n_small = math.ceil((lo - x) / small)
+    n_big = np.minimum(np.floor((hi - x) / big), np.ceil((lo - x) / big))
+    n_big = np.where(x < lo, n_big, 0.0)
+    x = x + n_big * big
+    n_small = np.where(x < lo, np.ceil((lo - x) / small), 0.0)
+    n_big, n_small = sign * n_big.astype(np.int64), sign * n_small.astype(np.int64)
     n1, n2 = (n_big, n_small) if b_big else (n_small, n_big)
-    n1, n2 = sign * n1, sign * n2
-    return StripReduction(z0=z + n1 * m.b + n2 * m.b_inv, n1=n1, n2=n2)
+    # Parts apart, in the order of the scalar z + n1 * b + n2 / b, so z0
+    # equals that sum on any CPU (see log_gb_strip).
+    z0 = ((z.real + n1 * m.b.real) + n2 * m.b_inv.real).astype(complex)
+    z0.imag = (z.imag + n1 * m.b.imag) + n2 * m.b_inv.imag
+    return z0, n1, n2
+
+
+def strip_reduce(z: complex, m: ModulusParam) -> StripReduction:
+    """Shift z by the lattice into the band Re Q/4 <= Re z0 <= 3 Re Q/4.
+
+    A one-point wrapper over the array reduction that gb_eval_many runs.
+    """
+    z = complex(z)
+    if not (abs(z.real) < 2.0**53 and math.isfinite(z.imag)):
+        raise ParameterDomainError(f"strip_reduce needs |Re z| < 2**53, got z = {z}")
+    z0, n1, n2 = _strip_reduce_many(np.array([z]), m)
+    return StripReduction(z0=complex(z0[0]), n1=int(n1[0]), n2=int(n2[0]))
 
 
 def _shift_product(z0, n1, n2, m: ModulusParam, binv_first: bool = False):
@@ -501,8 +513,9 @@ def _distinct(z: np.ndarray):
 def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     """G_b at many points, sharing reductions and strip batches.
 
-    Each distinct point is reduced once, and the distinct reduced points are
-    summed together, so the values depend only on this call's arguments.
+    The distinct points are reduced into the strip by one array reduction
+    per call, and the distinct reduced points are summed together, so the
+    values depend only on this call's arguments.
     Raises ParameterDomainError at a non-finite argument, PoleProximityError
     within 1e-12 of a pole, and returns exactly 0 within 1e-12 of a zero.
     Never returns NaN or infinity: where a value leaves double range (far
@@ -545,15 +558,13 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
 
     values = np.zeros(len(pts), dtype=complex)
     todo = (~zero).nonzero()[0]
-    reds = [strip_reduce(z, m) for z in pts[todo].tolist()]
-    z0s, at = _distinct(np.array([r.z0 for r in reds], dtype=complex))
+    z0s, n1, n2 = _strip_reduce_many(pts[todo], m)
+    z0s, at = _distinct(z0s)
     logs = log_gb_strip(z0s, m, cfg)
     # A far point's product or exponential may overflow; the finiteness
     # check below turns that into UnsupportedParameterError.
     with np.errstate(all="ignore"):
-        values[todo] = _shift_product(
-            z0s[at], [r.n1 for r in reds], [r.n2 for r in reds], m
-        ) * np.exp(logs[at])
+        values[todo] = _shift_product(z0s[at], n1, n2, m) * np.exp(logs[at])
     out = values[inverse]
     bad = ~np.isfinite(out)
     if bad.any():

@@ -201,6 +201,53 @@ def test_strip_reduce_counts_match_the_greedy_walk(b):
         assert (red.n1, red.n2) == _greedy_walk(x, m), x
 
 
+def _greedy_walk_far(x, m, chunk=1 << 20):
+    """_greedy_walk for a point far from the band.  The run of larger steps
+    is accumulated in chunks, one addition after another as in the loop;
+    _greedy_walk takes over where the loop would stop taking them."""
+    lo, hi = 0.25 * m.Q.real, 0.75 * m.Q.real
+    big = max(m.b.real, m.b_inv.real)
+    up = x < lo
+    taken = 0
+    while True:
+        xs = np.add.accumulate(np.append(x, np.full(chunk, big if up else -big)))
+        more = (xs < lo) & (xs + big <= hi) if up else (xs > hi) & (xs - big >= lo)
+        i = int(np.argmin(more[:-1])) if not more[:-1].all() else chunk
+        taken, x = taken + i, float(xs[i])
+        if i < chunk:
+            break
+    n = list(_greedy_walk(x, m))
+    n[0 if m.b.real >= m.b_inv.real else 1] += taken if up else -taken
+    return tuple(n)
+
+
+@pytest.mark.parametrize(
+    "b", [0.8, 0.6, 1.0, 0.3, 1.3, 0.6 + 0.1j, 0.45 + 0.2j, cmath.exp(0.3j), 2.0]
+)
+def test_array_reduction_matches_the_greedy_walk(b):
+    # Points below, in and above the band.  The quarter-grid hits the band
+    # edges exactly at b = 1; at b = 2, 0.125 - 2k lands on the near edge
+    # after b-steps and 1/b-steps.  Re z = +-1e7 takes about 1e7 steps.  z0
+    # is the scalar sum z + n1 b + n2 / b to the last bit.
+    m = as_modulus(b)
+    rng = np.random.default_rng(4)
+    xs = np.concatenate([
+        rng.uniform(-100, 100, 1000), np.arange(-20, 20, 0.25), 0.125 - 2 * np.arange(4)
+    ])
+    zs = np.append(xs + 1j * rng.uniform(-2, 2, len(xs)), [1e7 + 0.3j, -1e7 - 0.3j])
+    z0, n1, n2 = core._strip_reduce_many(zs, m)
+    assert n1.dtype == n2.dtype == np.int64
+    for z, w, k1, k2 in zip(zs.tolist(), z0.tolist(), n1.tolist(), n2.tolist()):
+        walk = _greedy_walk_far if abs(z.real) > 1e3 else _greedy_walk
+        assert (k1, k2) == walk(z.real, m), z
+        assert w == z + k1 * m.b + k2 * m.b_inv, z
+    z0, n1, n2 = core._strip_reduce_many(np.array([], dtype=complex), m)
+    assert len(z0) == len(n1) == len(n2) == 0 and n1.dtype == np.int64
+    for z in (complex("nan"), complex(0.5, math.inf), 2.0**53):
+        with pytest.raises(ParameterDomainError):
+            strip_reduce(z, m)
+
+
 def test_reduction_correction_order_independent():
     # 5.4 + 0.35i walks by both kinds of step at both moduli, so the two
     # orders multiply different factors.
@@ -446,15 +493,13 @@ def test_shift_product_matches_scalar_shift_equation(b, block, monkeypatch):
     m = as_modulus(b)
     rng = np.random.default_rng(5)
     zs = rng.uniform(-30, 30, 40) + 1j * rng.uniform(-1, 1, 40)
-    reds = [strip_reduce(z, m) for z in zs]
-    c = core._shift_product(
-        [r.z0 for r in reds], [r.n1 for r in reds], [r.n2 for r in reds], m
-    )
-    for z, r, got in zip(zs, reds, c):
-        if r.n1 >= 0 and r.n2 >= 0:
-            want = 1.0 / func_eq_general(z, r.n1, r.n2, m)
+    z0, n1, n2 = core._strip_reduce_many(zs, m)
+    c = core._shift_product(z0, n1, n2, m)
+    for z, w, k1, k2, got in zip(zs, z0, n1.tolist(), n2.tolist(), c):
+        if k1 >= 0 and k2 >= 0:
+            want = 1.0 / func_eq_general(z, k1, k2, m)
         else:
-            want = func_eq_general(r.z0, -r.n1, -r.n2, m)
+            want = func_eq_general(w, -k1, -k2, m)
         assert rel(got, want) < 1e-12
 
 
