@@ -37,7 +37,9 @@ from .errors import DegenerateParameterError
 from .symbolic import (
     AffineForm,
     GR_I,
+    GaussExponent,
     GaussRat,
+    GbFactor,
     IntegrandSpec,
     Symbol,
     as_affine,
@@ -172,11 +174,13 @@ def _divided_power(x, sign: int) -> ShiftOp:
     su = gen("u").scale(sign)
     gauss = gauss_from_products([(x, x, _HALF_I), (x, su, _I), (x, gen("alpha"), _I)])
     base = _half_q_plus_i_alpha()
-    sym = (
-        Symbol.from_gauss(gauss)
-        * Symbol.gb(x.scale(_MINUS_I))
-        * Symbol.gb(base + x.scale(_I) + su.scale(_I))
-        * Symbol.gb(base + su.scale(_I), -1)
+    sym = Symbol.make(
+        gauss,
+        (
+            GbFactor(x.scale(_MINUS_I), 1),
+            GbFactor(base + x.scale(_I) + su.scale(_I), 1),
+            GbFactor(base + su.scale(_I), -1),
+        ),
     )
     return ShiftOp(sym, x.scale(sign))
 
@@ -213,10 +217,9 @@ def verify_KK(p1=None, p2=None) -> bool:
 def _verify_cartan_ladder(sign: int, p, x) -> bool:
     """K^{ip} X = e^{2 pi i sign (bp)(bx)} X K^{ip} for the divided power X
     of _divided_power(x, sign)."""
-    lhs = compose(make_K_pow(p), _divided_power(x, sign))
+    k_op, x_op = make_K_pow(p), _divided_power(x, sign)
     phase = Symbol.from_gauss(gauss_from_products([(p, x, _TWO_I * sign)]))
-    rhs = _times_scalar(compose(_divided_power(x, sign), make_K_pow(p)), phase)
-    return lhs == rhs
+    return compose(k_op, x_op) == _times_scalar(compose(x_op, k_op), phase)
 
 
 def verify_KE(p=None, s=None) -> bool:
@@ -228,15 +231,17 @@ def verify_KF(p=None, t=None) -> bool:
 
 
 def _verify_ladder_product(maker, s1, s2) -> bool:
-    lhs = compose(maker(s1), maker(s2))
-    sw = compose(maker(s2), maker(s1))
-    coeff = (
-        Symbol.gb(s1.scale(_MINUS_I))
-        * Symbol.gb(s2.scale(_MINUS_I))
-        * Symbol.gb((s1 + s2).scale(_MINUS_I), -1)
+    x1, x2 = maker(s1), maker(s2)
+    coeff = Symbol.make(
+        GaussExponent.zero(),
+        (
+            GbFactor(s1.scale(_MINUS_I), 1),
+            GbFactor(s2.scale(_MINUS_I), 1),
+            GbFactor((s1 + s2).scale(_MINUS_I), -1),
+        ),
     )
     rhs = _times_scalar(maker(s1 + s2), coeff)
-    return lhs == rhs and sw == rhs
+    return compose(x1, x2) == rhs and compose(x2, x1) == rhs
 
 
 def verify_EE(s1=None, s2=None) -> bool:
@@ -276,10 +281,13 @@ def qbinomial_integral(swapped: bool = False) -> OpIntegral:
     value.
     """
     s, tau = gen("bs"), gen("btau")
-    coeff = (
-        Symbol.gb(tau.scale(_MINUS_I))
-        * Symbol.gb(s.scale(_MINUS_I) + tau.scale(_I))
-        * Symbol.gb(s.scale(_MINUS_I), -1)
+    coeff = Symbol.make(
+        GaussExponent.zero(),
+        (
+            GbFactor(tau.scale(_MINUS_I), 1),
+            GbFactor(s.scale(_MINUS_I) + tau.scale(_I), 1),
+            GbFactor(s.scale(_MINUS_I), -1),
+        ),
     )
     if swapped:
         w = compose(weyl_power("U1", tau), weyl_power("V1", s - tau))
@@ -317,14 +325,16 @@ def kac_lhs_closed_form() -> ShiftOp:
         ]
     )
     base = _half_q_plus_i_alpha()
-    sym = (
-        Symbol.from_gauss(gauss)
-        * Symbol.gb(s.scale(_MINUS_I))
-        * Symbol.gb(t.scale(_MINUS_I))
-        * Symbol.gb(base + s.scale(_I) - u.scale(_I))
-        * Symbol.gb(base + (t - s).scale(_I) + u.scale(_I))
-        * Symbol.gb(base - u.scale(_I), -1)
-        * Symbol.gb(base - s.scale(_I) + u.scale(_I), -1)
+    sym = Symbol.make(
+        gauss,
+        (
+            GbFactor(s.scale(_MINUS_I), 1),
+            GbFactor(t.scale(_MINUS_I), 1),
+            GbFactor(base + s.scale(_I) - u.scale(_I), 1),
+            GbFactor(base + (t - s).scale(_I) + u.scale(_I), 1),
+            GbFactor(base - u.scale(_I), -1),
+            GbFactor(base - s.scale(_I) + u.scale(_I), -1),
+        ),
     )
     return ShiftOp(sym, t - s)
 

@@ -21,12 +21,20 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import EvalConfig, ModulusParam, gb_eval_many
+from .core import (
+    _SNAP_EPS,
+    EvalConfig,
+    ModulusParam,
+    gb_eval_many,
+    nearest_lattice_point,
+)
+from .errors import PoleProximityError, UnsupportedParameterError
 
 __all__ = [
     "GaussRat",
@@ -45,16 +53,19 @@ __all__ = [
 ]
 
 
+@total_ordering
 class GaussRat:
     """Gaussian rational (a + b i) / d, held as three ints.
 
     The normal form has d > 0 and gcd(a, b, d) = 1, so two values are equal
     exactly when their triples are.  Each operation normalises its result
-    once; .re and .im are Fraction views of the parts.  The hash and the
-    sort key are cached on first use (threads that race store equal values).
+    once; .re and .im are Fraction views of the parts.  The hash is cached
+    on first use (threads that race store equal values).  Values order as
+    the pairs (re, im) do, compared by int cross-multiplication, which is
+    exact because both denominators are positive.
     """
 
-    __slots__ = ("_a", "_b", "_d", "_hash", "_key")
+    __slots__ = ("_a", "_b", "_d", "_hash")
 
     def __init__(self, re=0, im=0):
         re, im = Fraction(re), Fraction(im)
@@ -145,12 +156,18 @@ class GaussRat:
         # int / int is correctly rounded, the same float as float(Fraction).
         return complex(self._a / self._d, self._b / self._d)
 
-    def sort_key(self):
-        try:
-            return self._key
-        except AttributeError:
-            self._key = k = (self.re, self.im)
-            return k
+    def __lt__(self, other):
+        if other.__class__ is not GaussRat:
+            return NotImplemented
+        d, e = self._d, other._d
+        x, y = self._a * e, other._a * d
+        if x == y:
+            return self._b * e < other._b * d
+        return x < y
+
+    def sort_key(self) -> "GaussRat":
+        """The value itself: GaussRats compare exactly in (re, im) order."""
+        return self
 
     def __repr__(self) -> str:
         re, im = self.re, self.im
@@ -208,12 +225,18 @@ _GENERATORS = (
     "D",
     "beta",
 )
-_RANKS = {name: (k, name) for k, name in enumerate(_GENERATORS)}
 
 
-def _rank(name: str) -> tuple:
-    """Sort key of a generator name in the canonical order."""
-    return _RANKS.get(name) or (len(_GENERATORS), name)
+class _Ranks(dict):
+    """Canonical rank of each generator name; unknown names rank after the
+    canonical generators, by name, and are not stored."""
+
+    def __missing__(self, name: str) -> tuple:
+        return (len(_GENERATORS), name)
+
+
+# Sort key of a generator name in the canonical order.
+_rank = _Ranks({name: (k, name) for k, name in enumerate(_GENERATORS)}).__getitem__
 
 
 def _lookup(bindings: Mapping[str, complex], name: str) -> complex:
@@ -264,10 +287,11 @@ class AffineForm:
         return self.scale(-1)
 
     def scale(self, c) -> "AffineForm":
+        # A nonzero factor keeps every term nonzero and in its place.
         c = GaussRat.of(c)
-        return AffineForm.make(
-            [(n, k * c) for n, k in self.terms], self.const * c
-        )
+        if c.is_zero():
+            return AffineForm((), GR_ZERO)
+        return AffineForm(tuple((n, k * c) for n, k in self.terms), self.const * c)
 
     def coeff(self, name: str) -> GaussRat:
         for n, c in self.terms:
@@ -301,10 +325,7 @@ class AffineForm:
         try:
             return self._key
         except AttributeError:
-            k = (
-                tuple((_rank(n), c.sort_key()) for n, c in self.terms),
-                self.const.sort_key(),
-            )
+            k = (tuple((_rank(n), c) for n, c in self.terms), self.const)
             object.__setattr__(self, "_key", k)
             return k
 
@@ -388,14 +409,21 @@ class GaussExponent:
         return GaussExponent(())
 
     def __add__(self, other: "GaussExponent") -> "GaussExponent":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return GaussExponent.make(self.terms + other.terms)
 
     def __neg__(self) -> "GaussExponent":
         return self.scale(-1)
 
     def scale(self, c) -> "GaussExponent":
+        # A nonzero factor keeps every term nonzero and in its place.
         c = GaussRat.of(c)
-        return GaussExponent.make([(p, k * c) for p, k in self.terms])
+        if c.is_zero():
+            return GaussExponent(())
+        return GaussExponent(tuple((p, k * c) for p, k in self.terms))
 
     def coeff(self, name1: str, name2: str) -> GaussRat:
         a, b = name1, name2
@@ -527,9 +555,14 @@ class Symbol:
         m: ModulusParam,
         cfg: EvalConfig | None = None,
     ) -> complex:
-        """Numeric value: exp(gauss) times the product of G_b factor powers."""
+        """Numeric value: exp(gauss) times the product of G_b factor powers.
+
+        Raises PoleProximityError where a factor with a negative exponent
+        sits on a zero of G_b.
+        """
         args = [f.argument.evaluate(bindings) for f in self.factors]
         vals = gb_eval_many(args, m, cfg)
+        _check_reciprocals([f.exponent for f in self.factors], args, vals, m)
         total = cmath.exp(self.gauss.evaluate(bindings))
         for f, v in zip(self.factors, vals):
             total *= v ** f.exponent
@@ -546,7 +579,8 @@ class Symbol:
         """Vectorized value over a grid of the generator var.
 
         All factor arguments across all grid points go through one batched
-        dilogarithm evaluation.
+        dilogarithm evaluation.  Raises PoleProximityError where a factor
+        with a negative exponent sits on a zero of G_b.
         """
         values = np.asarray(values, dtype=complex)
         c2, c1, c0 = self.gauss.polynomial_in(var, bindings)
@@ -561,6 +595,7 @@ class Symbol:
         flat = np.concatenate(args)
         vals = gb_eval_many(flat, m, cfg)
         n = len(values)
+        _check_reciprocals([f.exponent for f in self.factors], flat, vals, m)
         for i, f in enumerate(self.factors):
             out = out * vals[i * n : (i + 1) * n] ** f.exponent
         return out
@@ -571,6 +606,29 @@ class Symbol:
             for f in self.factors
         )
         return f"Symbol[e^(pi*({self.gauss.terms}))" + (f" * {fac}]" if fac else "]")
+
+
+def _check_reciprocals(exponents, args, vals: np.ndarray, m: ModulusParam) -> None:
+    """Raise where a negative power meets a G_b value of exactly 0.
+
+    exponents holds one exponent per factor; args and vals hold the factors'
+    rows one after another, equally many per factor.  gb_eval_many returns 0
+    on a zero of G_b, which is a pole of the symbol; a 0 anywhere else is an
+    underflow, whose reciprocal double precision cannot hold.
+    """
+    zero = vals == 0
+    if not zero.any():
+        return
+    hit = zero & (np.repeat(exponents, len(vals) // len(exponents)) < 0)
+    if not hit.any():
+        return
+    z = complex(np.asarray(args, dtype=complex)[hit][0])
+    _, _, p, d = nearest_lattice_point(z - m.Q, m)
+    if d < _SNAP_EPS:
+        raise PoleProximityError(z, m.Q + p, d)
+    raise UnsupportedParameterError(
+        f"1/G_b(z) at z = {z}, b = {m.b} is not finite in double precision"
+    )
 
 
 def symbol_equal_exact(a: Symbol, b: Symbol) -> tuple:

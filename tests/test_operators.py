@@ -37,6 +37,7 @@ from qdilog.operators import (
 from qdilog.symbolic import (
     GaussRat,
     Symbol,
+    const,
     gauss_from_products,
     gen,
     symbol_equal_exact,
@@ -88,6 +89,59 @@ def test_weyl_powers_form_one_parameter_groups(kind):
     eq, diff = symbol_equal_exact(prod.symbol, direct.symbol)
     assert eq, diff
     assert prod.shift == direct.shift
+
+
+def _coefficient_exponents(coeff: Symbol) -> dict:
+    return {f.argument: f.exponent for f in coeff.factors}
+
+
+@pytest.mark.parametrize("args", [(None, None), (RATIONALS[1], RATIONALS[3])])
+@pytest.mark.parametrize("maker", [make_E_div, make_F_div])
+def test_ladder_product_without_its_coefficient_compares_unequal(maker, args):
+    s1, s2 = (gen("bs1") if args[0] is None else const(args[0]),
+              gen("bs2") if args[1] is None else const(args[1]))
+    lhs = compose(maker(s1), maker(s2))
+    wrong = maker(s1 + s2)
+    assert lhs != wrong and lhs.shift == wrong.shift
+    eq, diff = symbol_equal_exact(lhs.symbol, wrong.symbol)
+    assert not eq and diff["gauss"] == []
+    # The two sides differ by exactly the G_b coefficient of the law.
+    coeff = (
+        Symbol.gb(s1.scale(-1j)) * Symbol.gb(s2.scale(-1j))
+        * Symbol.gb((s1 + s2).scale(-1j), -1)
+    )
+    assert {arg: ea - eb for arg, ea, eb in diff["factors"]} == _coefficient_exponents(coeff)
+
+
+@pytest.mark.parametrize("args", [(None, None), (RATIONALS[2], RATIONALS[3])])
+@pytest.mark.parametrize("maker, sign", [(make_E_div, -1), (make_F_div, +1)])
+def test_cartan_ladder_without_its_phase_compares_unequal(maker, sign, args):
+    p = gen("bp") if args[0] is None else const(args[0])
+    x = gen("bs") if args[1] is None else const(args[1])
+    lhs = compose(make_K_pow(p), maker(x))
+    wrong = compose(maker(x), make_K_pow(p))
+    assert lhs != wrong and lhs.shift == wrong.shift
+    eq, diff = symbol_equal_exact(lhs.symbol, wrong.symbol)
+    assert not eq and diff["factors"] == []
+    phase = gauss_from_products([(p, x, GaussRat.of(2j * sign))])
+    assert [(pair, ca - cb) for pair, ca, cb in diff["gauss"]] == list(phase.terms)
+
+
+@pytest.mark.parametrize("args", [(None, None), (RATIONALS[2], RATIONALS[1])])
+def test_weyl_with_the_phase_sign_flipped_compares_unequal(args):
+    x = gen("bs1") if args[0] is None else const(args[0])
+    y = gen("bs2") if args[1] is None else const(args[1])
+    flipped = Symbol.from_gauss(gauss_from_products([(x, y, GaussRat.of(2j))]))
+    for a, bname in (("U1", "V1"), ("U2", "V2")):
+        lhs = compose(weyl_power(a, x), weyl_power(bname, y))
+        wrong = compose(weyl_power(bname, y), weyl_power(a, x))
+        wrong = ShiftOp(flipped * wrong.symbol, wrong.shift)
+        assert lhs != wrong and lhs.shift == wrong.shift
+        eq, diff = symbol_equal_exact(lhs.symbol, wrong.symbol)
+        assert not eq and diff["factors"] == []
+        # e^{-2 pi i xy} against e^{+2 pi i xy}: the sides differ by -4i xy.
+        expected = gauss_from_products([(x, y, GaussRat.of(-4j))])
+        assert [(pair, ca - cb) for pair, ca, cb in diff["gauss"]] == list(expected.terms)
 
 
 def test_weyl_rejects_unknown_kind():

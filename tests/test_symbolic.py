@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdilog.core import as_modulus
+from qdilog.core import as_modulus, gb_eval_many
+from qdilog.errors import PoleProximityError, UnsupportedParameterError
 from qdilog.symbolic import (
     AffineForm,
     GaussExponent,
     GaussRat,
+    GbFactor,
     Symbol,
     as_affine,
     const,
@@ -163,6 +165,19 @@ def test_gaussrat_sort_key_orders_as_fraction_pairs():
     assert order == sorted(range(len(pairs)), key=lambda k: pairs[k])
 
 
+@settings(derandomize=True, max_examples=60)
+@given(st.lists(wide_gaussrats, min_size=2, max_size=12))
+def test_gaussrat_less_than_orders_as_fraction_pairs(values):
+    assert [(v.re, v.im) for v in sorted(values)] == sorted(
+        (v.re, v.im) for v in values
+    )
+    a, b = values[0], values[1]
+    key_a, key_b = (a.re, a.im), (b.re, b.im)
+    assert (a < b, a <= b, a > b, a >= b) == (
+        key_a < key_b, key_a <= key_b, key_a > key_b, key_a >= key_b
+    )
+
+
 # ---------------------------------------------------------------------------
 # Affine forms
 
@@ -204,6 +219,27 @@ def test_affine_unit_pseudogenerator_folds_into_const():
     assert f.evaluate({"x": 2.0}) == pytest.approx(5.0)
 
 
+# Canonical generators, names ranked after them, and the constant 'unit'.
+mixed_names = st.sampled_from(["unit", "Q", "u", "bs", "btau", "beta", "w", "x"])
+scales = st.one_of(
+    st.sampled_from([GaussRat(), GaussRat.of(1), GaussRat.of(-1), GaussRat.of(1j)]),
+    gaussrats,
+)
+
+
+def test_unknown_generators_rank_after_the_canonical_ones_by_name():
+    f = AffineForm.make([(n, GaussRat.of(1)) for n in ("zz", "beta", "aa", "unit", "Q")])
+    assert [n for n, _ in f.terms] == ["Q", "beta", "aa", "zz"]
+    assert f.const == GaussRat.of(1)
+
+
+@settings(derandomize=True, max_examples=80)
+@given(st.lists(st.tuples(mixed_names, gaussrats), max_size=5), gaussrats, scales)
+def test_affine_scale_matches_make_over_scaled_terms(pairs, c0, c):
+    f = AffineForm.make(pairs, c0)
+    assert f.scale(c) == AffineForm.make([(n, k * c) for n, k in f.terms], f.const * c)
+
+
 def test_unit_generator_is_the_constant_one():
     assert gen("unit") == const(1)
     assert gen("unit") == gen("unit") + gen("x") - gen("x")
@@ -225,6 +261,25 @@ def test_gauss_exponent_substitution_matches_evaluation(triples):
     env = dict(BINDINGS)
     env["y"] = h.evaluate(BINDINGS)
     assert abs(sub.evaluate(BINDINGS) - g.evaluate(env)) < 1e-10
+
+
+gauss_entries = st.lists(st.tuples(st.tuples(mixed_names, mixed_names), gaussrats), max_size=5)
+
+
+@settings(derandomize=True, max_examples=80)
+@given(gauss_entries, scales)
+def test_gauss_scale_matches_make_over_scaled_terms(entries, c):
+    g = GaussExponent.make(entries)
+    assert g.scale(c) == GaussExponent.make([(p, k * c) for p, k in g.terms])
+
+
+@settings(derandomize=True, max_examples=50)
+@given(gauss_entries)
+def test_adding_the_empty_exponent_keeps_the_form(entries):
+    g = GaussExponent.make(entries)
+    zero = GaussExponent.zero()
+    assert g + zero == g == zero + g
+    assert g + GaussExponent.make([]) == GaussExponent.make(g.terms)
 
 
 def test_gauss_polynomial_in_reconstructs_exponent():
@@ -254,6 +309,33 @@ def test_symbol_product_merges_factors():
     assert exps[as_affine(gen("y"))] == -1
     # multiplying by the inverse cancels everything
     eq, diff = symbol_equal_exact(s * s.inverse(), Symbol.one())
+    assert eq, diff
+
+
+@settings(derandomize=True, max_examples=60)
+@given(
+    gauss_entries,
+    st.lists(
+        st.tuples(
+            st.builds(
+                lambda pairs, c: AffineForm.make(pairs, c),
+                st.lists(st.tuples(mixed_names, gaussrats), max_size=3),
+                st.sampled_from([GaussRat(), GaussRat.of(1)]),
+            ),
+            st.integers(-2, 2),
+        ),
+        max_size=6,
+    ),
+    st.data(),
+)
+def test_chained_product_equals_one_make_over_shuffled_factors(entries, factors, data):
+    chained = Symbol.from_gauss(GaussExponent.make(entries))
+    for arg, e in factors:
+        chained = chained * Symbol.gb(arg, e)
+    shuffled = data.draw(st.permutations([GbFactor(a, e) for a, e in factors]))
+    direct = Symbol.make(GaussExponent.make(entries), shuffled)
+    assert chained == direct
+    eq, diff = symbol_equal_exact(chained, direct)
     assert eq, diff
 
 
@@ -291,6 +373,31 @@ def test_symbol_evaluate_on_matches_pointwise_evaluate():
     for t, v in zip(grid, batch):
         direct = sym.evaluate({**bnd, "tau": t}, m)
         assert abs(v - direct) / abs(direct) < 1e-11
+
+
+def test_symbol_evaluate_raises_on_a_pole_of_a_reciprocal_factor():
+    m = as_modulus(0.8)
+    sym = Symbol.gb(gen("A"), -1) * Symbol.gb(gen("B"))
+    with pytest.raises(PoleProximityError) as err:
+        sym.evaluate({"A": m.Q, "B": 0.4}, m)
+    assert err.value.lattice_point == m.Q
+    # The zero of a positive power is a plain zero of the symbol.
+    assert sym.evaluate({"A": 0.4, "B": m.Q}, m) == 0
+    # Far below the strip G_b underflows to 0 away from any zero.
+    assert gb_eval_many([1 - 10000j], m)[0] == 0
+    with pytest.raises(UnsupportedParameterError, match="not finite"):
+        sym.evaluate({"A": 1 - 10000j, "B": 0.4}, m)
+
+
+def test_symbol_evaluate_on_raises_on_a_pole_of_a_reciprocal_factor():
+    m = as_modulus(0.8)
+    sym = Symbol.gb(gen("A") + const(GaussRat.of(1)), -1)
+    grid = np.array([0.3, m.Q + m.b - 1, 0.7], dtype=complex)
+    with pytest.raises(PoleProximityError) as err:
+        sym.evaluate_on("A", grid, {}, m)
+    assert abs(err.value.lattice_point - (m.Q + m.b)) < 1e-12
+    values = sym.evaluate_on("A", grid[[0, 2]], {}, m)
+    assert np.isfinite(values).all()
 
 
 def test_symbol_substitution_commutes_with_evaluation():
