@@ -90,7 +90,7 @@ _OPTIONS = {
     "tol": (_real, None, "suite tolerance"),
     "rel_tol": (_real, None, "engine relative tolerance"),
     "seed": (_integer, None, None),
-    "threads": (_integer, None, None),
+    "threads": (_integer, None, "accepted and recorded; has no effect"),
     "format": (_text, ("json", "csv", "pretty"), None),
     "out": (_text, None, None),
     "grid": (_text, ("default", "small"), None),
@@ -282,7 +282,6 @@ def _cmd_verify(args, cfg: RunConfig) -> tuple:
         alpha=cfg.alpha,
         tol=cfg.tol,
         seed=cfg.seed,
-        threads=cfg.threads,
         grid=cfg.grid,
         cfg=_eval_config(cfg),
     )

@@ -133,6 +133,18 @@ class EvalConfig:
     trunc_margin: float = 2.0
     precision: str = "standard"
 
+    def __post_init__(self):
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ParameterDomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
+        if not 0.0 <= self.trunc_margin < math.inf:
+            raise ParameterDomainError(
+                f"trunc_margin must be finite and >= 0, got {self.trunc_margin!r}"
+            )
+        if self.precision not in ("standard", "extended"):
+            raise ParameterDomainError(
+                f"precision must be 'standard' or 'extended', got {self.precision!r}"
+            )
+
     # Read only by the benchmark's tracer (perfbench/tracing.py), which keys
     # the points it counts by modulus and config.
     def cache_key(self) -> tuple:
@@ -517,9 +529,10 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     per call, and the distinct reduced points are summed together, so the
     values depend only on this call's arguments.
     Raises ParameterDomainError at a non-finite argument, PoleProximityError
-    within 1e-12 of a pole, and returns exactly 0 within 1e-12 of a zero.
-    Never returns NaN or infinity: where a value leaves double range (far
-    from the strip, e.g. Re z = 1000 at b = 0.8) it raises
+    within 1e-12 of a pole, and returns exactly 0 within 1e-12 of a zero and
+    nowhere else.  Never returns NaN, infinity, a subnormal or an underflowed
+    0: where a value leaves the normal double range (far from the strip,
+    e.g. Re z = 1000 or Im z = -4600 at b = 0.8) it raises
     UnsupportedParameterError naming the first such point.  It raises that
     error up front, too, at a point whose shift walk into the strip would
     take more than rel_tol / (2 eps) steps (225,179 at rel_tol 1e-10), or
@@ -561,18 +574,18 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     z0s, n1, n2 = _strip_reduce_many(pts[todo], m)
     z0s, at = _distinct(z0s)
     logs = log_gb_strip(z0s, m, cfg)
-    # A far point's product or exponential may overflow; the finiteness
-    # check below turns that into UnsupportedParameterError.
+    # A far point's product or exponential may overflow or underflow; the
+    # range check below turns that into UnsupportedParameterError.
     with np.errstate(all="ignore"):
         values[todo] = _shift_product(z0s[at], n1, n2, m) * np.exp(logs[at])
-    out = values[inverse]
-    bad = ~np.isfinite(out)
+        tiny = (np.abs(values) < np.finfo(float).tiny) & ~zero
+    bad = ~np.isfinite(values) | tiny
     if bad.any():
         raise UnsupportedParameterError(
-            f"G_b(z) at z = {complex(zs[bad][0])}, b = {m.b} is not finite in "
-            f"double precision"
+            f"G_b(z) at z = {complex(zs[bad[inverse]][0])}, b = {m.b} is not "
+            f"finite or underflows in double precision"
         )
-    return out
+    return values[inverse]
 
 
 def gb_eval(z: complex, b, cfg: EvalConfig | None = None) -> complex:

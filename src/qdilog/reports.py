@@ -1,9 +1,8 @@
 """Report containers and renderers for evaluation tables and verify suites.
 
 JSON keys are sorted and floats go through repr.  For a fixed config and
-seed, at any thread count, the only fields that vary between identical runs
-are `timestamp` and `elapsed_seconds` (callers comparing reports drop those
-two).  CSV columns are fixed and documented in the README; `pretty`
+seed, the only fields that vary between identical runs are `timestamp` and
+`elapsed_seconds` (callers comparing reports drop those two).  CSV columns are fixed and documented in the README; `pretty`
 is a fixed-width text table for terminals.
 """
 

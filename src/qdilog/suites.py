@@ -11,21 +11,16 @@ the reported error estimates.
 A suite is data: its run_* function lays out cases (label, inputs and a
 callable that runs both routes and judges them) for the resolved modulus,
 and the one runner, _run, times the suite, runs the cases and builds the
-report.  Errors raised while laying out the cases propagate; an error inside
-a case fails that case.  tau-binomial, six-nine, q-binomial and kac run
-their cases on a thread pool (--threads, at most one thread per case);
-every suite assembles its cases in case-index order.  A report is
-deterministic for a fixed config and seed at any thread count: a G_b value
-depends only on the arguments of the call that computes it.
+report.  The cases run one after another, in case-index order, on the
+calling thread.  Errors raised while laying out the cases propagate; an
+error inside a case fails that case.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, partial
@@ -105,18 +100,13 @@ class _Case:
     check: Callable[[], dict]
 
 
-def _thread_count(requested: int | None, n_cases: int) -> int:
-    if requested is None:
-        requested = min(8, os.cpu_count() or 1)
-    return max(1, min(requested, n_cases))
-
-
-def _run_cases(cases, threads: int | None):
-    """Run cases in order, on a pool of threads if asked; exceptions become
-    failed cases."""
-
-    def guard(item):
-        index, case = item
+def _run(suite, b, cases, *, alpha, tol, config, seed=None) -> SuiteReport:
+    """Time one suite: resolve b, lay out cases(m), run them in order and
+    report.  An exception inside a case becomes a failed case."""
+    t0 = time.perf_counter()
+    m = as_modulus(b)
+    results = []
+    for index, case in enumerate(cases(m)):
         try:
             outcome = case.check()
         except Exception as exc:  # honest failure, not a crash
@@ -126,21 +116,7 @@ def _run_cases(cases, threads: int | None):
                 "detail": f"{type(exc).__name__}: {exc}",
             }
         fields = {"inputs": case.inputs, **outcome}
-        return CaseResult(index=index, label=case.label, **fields)
-
-    items = list(enumerate(cases))
-    n = _thread_count(threads, len(items))
-    if n <= 1:
-        return [guard(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(guard, items))
-
-
-def _run(suite, b, cases, *, alpha, tol, config, seed=None, threads=1) -> SuiteReport:
-    """Time one suite: resolve b, lay out cases(m), run them and report."""
-    t0 = time.perf_counter()
-    m = as_modulus(b)
-    results = _run_cases(cases(m), threads)
+        results.append(CaseResult(index=index, label=case.label, **fields))
     return SuiteReport(
         suite=suite,
         b=complex(m.b),
@@ -194,7 +170,6 @@ def run_reflection(
     cfg: EvalConfig | None = None,
     n: int = 10,
     seed=None,
-    threads=None,
 ) -> SuiteReport:
     """G(z) G(Q-z) against exp(pi i z (z - Q)) on an n x n strip grid."""
 
@@ -227,7 +202,6 @@ def run_funceq(
     tol: float = 1e-9,
     cfg: EvalConfig | None = None,
     seed=None,
-    threads=None,
     max_order: int = 2,
 ) -> SuiteReport:
     """Shift equation in both periods: G(z + n1 b + n2/b) vs factor * G(z)."""
@@ -263,7 +237,6 @@ def run_product_oracle(
     cfg: EvalConfig | None = None,
     n: int = 20,
     seed=None,
-    threads=None,
 ) -> SuiteReport:
     """Defining-integral route against the double infinite product."""
 
@@ -294,7 +267,6 @@ def run_pole_limits(
     tol: float = 1e-5,
     cfg: EvalConfig | None = None,
     seed=None,
-    threads=None,
 ) -> SuiteReport:
     """Richardson-extrapolated x*G(x - lattice) and x/G(x + Q + lattice).
 
@@ -343,7 +315,6 @@ def run_tau_binomial(
     cfg: EvalConfig | None = None,
     n: int = 5,
     seed=None,
-    threads=None,
 ) -> SuiteReport:
     """Beta-integral identity on an n x n (alpha, beta) grid.
 
@@ -371,7 +342,7 @@ def run_tau_binomial(
 
     return _run(
         "tau-binomial", b, cases, alpha=alpha, tol=tol,
-        config={"n": n, "rel_tol": rel_tol}, threads=threads,
+        config={"n": n, "rel_tol": rel_tol},
     )
 
 
@@ -401,7 +372,6 @@ def run_six_nine(
     cfg: EvalConfig | None = None,
     seed: int = DEFAULT_SEED,
     n_random: int = 10,
-    threads=None,
     include_kac_tuple: bool = True,
 ) -> SuiteReport:
     """Six-over-three G ratio vs the contour integral, random + named tuples."""
@@ -432,7 +402,7 @@ def run_six_nine(
 
     return _run(
         "six-nine", b, cases, alpha=alpha, tol=tol, seed=seed,
-        config={"n_random": n_random, "rel_tol": rel_tol}, threads=threads,
+        config={"n_random": n_random, "rel_tol": rel_tol},
     )
 
 
@@ -447,7 +417,6 @@ def run_theorem31_exact(
     cfg=None,
     seed: int = DEFAULT_SEED,
     n: int = 10,
-    threads=None,
 ) -> SuiteReport:
     """Exact normal-form checks of the five commutation laws.
 
@@ -497,7 +466,6 @@ def run_q_binomial(
     tol: float = 1e-6,
     cfg: EvalConfig | None = None,
     seed=None,
-    threads=None,
 ) -> SuiteReport:
     """Binomial expansion of (U1+V1)^{is} against the divided-power symbol."""
     rel_tol = _REL_TOL["q-binomial"]
@@ -525,7 +493,7 @@ def run_q_binomial(
 
     return _run(
         "q-binomial", b, cases, alpha=alpha, tol=tol,
-        config={"rel_tol": rel_tol, "n": len(tuples)}, threads=threads,
+        config={"rel_tol": rel_tol, "n": len(tuples)},
     )
 
 
@@ -555,7 +523,6 @@ def run_kac(
     tol: float = 1e-5,
     cfg: EvalConfig | None = None,
     seed=None,
-    threads=None,
     tuples=None,
 ) -> SuiteReport:
     """Composed E o F against its contour-integral expansion.
@@ -586,7 +553,7 @@ def run_kac(
 
     return _run(
         "kac", b, cases, alpha=alpha, tol=tol,
-        config={"rel_tol": rel_tol, "n": len(tuples)}, threads=threads,
+        config={"rel_tol": rel_tol, "n": len(tuples)},
     )
 
 
@@ -652,7 +619,6 @@ def run_consistency(
     tol=None,
     cfg: EvalConfig | None = None,
     seed=None,
-    threads=None,
 ) -> SuiteReport:
     """Same quantities under different numerics must agree within estimates.
 
@@ -741,7 +707,6 @@ def run_suite(
     alpha=None,
     tol=None,
     seed=None,
-    threads=None,
     grid: str = "default",
     cfg: EvalConfig | None = None,
 ) -> SuiteReport:
@@ -754,7 +719,6 @@ def run_suite(
         "alpha": alpha,
         "tol": tol,
         "seed": seed if suite.seeded else None,
-        "threads": threads,
         "cfg": cfg,
     }
     kwargs = {k: v for k, v in given.items() if v is not None}

@@ -28,13 +28,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    _SNAP_EPS,
     EvalConfig,
     ModulusParam,
     gb_eval_many,
     nearest_lattice_point,
 )
-from .errors import PoleProximityError, UnsupportedParameterError
+from .errors import PoleProximityError
 
 __all__ = [
     "GaussRat",
@@ -60,9 +59,9 @@ class GaussRat:
     The normal form has d > 0 and gcd(a, b, d) = 1, so two values are equal
     exactly when their triples are.  Each operation normalises its result
     once; .re and .im are Fraction views of the parts.  The hash is cached
-    on first use (threads that race store equal values).  Values order as
-    the pairs (re, im) do, compared by int cross-multiplication, which is
-    exact because both denominators are positive.
+    on first use.  Values order as the pairs (re, im) do, compared by int
+    cross-multiplication, which is exact because both denominators are
+    positive.
     """
 
     __slots__ = ("_a", "_b", "_d", "_hash")
@@ -613,8 +612,7 @@ def _check_reciprocals(exponents, args, vals: np.ndarray, m: ModulusParam) -> No
 
     exponents holds one exponent per factor; args and vals hold the factors'
     rows one after another, equally many per factor.  gb_eval_many returns 0
-    on a zero of G_b, which is a pole of the symbol; a 0 anywhere else is an
-    underflow, whose reciprocal double precision cannot hold.
+    only within 1e-12 of a zero of G_b, which is a pole of the symbol.
     """
     zero = vals == 0
     if not zero.any():
@@ -624,11 +622,7 @@ def _check_reciprocals(exponents, args, vals: np.ndarray, m: ModulusParam) -> No
         return
     z = complex(np.asarray(args, dtype=complex)[hit][0])
     _, _, p, d = nearest_lattice_point(z - m.Q, m)
-    if d < _SNAP_EPS:
-        raise PoleProximityError(z, m.Q + p, d)
-    raise UnsupportedParameterError(
-        f"1/G_b(z) at z = {z}, b = {m.b} is not finite in double precision"
-    )
+    raise PoleProximityError(z, m.Q + p, d)
 
 
 def symbol_equal_exact(a: Symbol, b: Symbol) -> tuple:

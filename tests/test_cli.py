@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
@@ -223,13 +224,6 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus" in err
 
 
-def test_thread_count_is_clamped():
-    from qdilog.suites import _thread_count
-
-    assert _thread_count(4, 16) == 4
-    assert _thread_count(None, 1) == 1
-
-
 def test_command_line_overrides_config_file(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"tol": 1e-9, "format": "json"}))
@@ -261,6 +255,40 @@ def test_eval_out_of_range_value_is_an_error_row(capsys):
     assert "error" in row["flags"]
     assert row["value"] is None
     assert "UnsupportedParameterError" in row["detail"]
+
+
+def test_eval_underflowing_point_is_an_error_row(capsys):
+    # |G_b(1 - 5000i)| at b = 0.8 falls below the smallest normal double, far
+    # from any zero of G_b: an error row instead of a 0, next to a value row.
+    code, out, _ = run(
+        capsys, "eval", "--what", "Gb", "--points", "0.5,1-5000i", "--format", "json"
+    )
+    assert code == EXIT_PASS
+    value, under = json.loads(out)["rows"]
+    assert value["flags"] == [] and value["value"] is not None
+    assert under["flags"] == ["error"]
+    assert under["value"] is None
+    assert "UnsupportedParameterError" in under["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--what", "Gb", "--points", "0.5", "--rel-tol=-1"),
+        ("eval", "--what", "Gb", "--points", "0.5", "--rel-tol", "0"),
+        ("eval", "--what", "gb", "--points", "0.3", "--rel-tol", "1"),
+        ("verify", "--suite", "tau-binomial", "--grid", "small", "--rel-tol", "nan"),
+    ],
+)
+def test_rel_tol_outside_its_domain_is_unsupported(monkeypatch, capsys, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(suites, "tau_binomial_check", unreachable)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_UNSUPPORTED
+    assert out == ""
+    assert err.startswith("unsupported configuration: rel_tol")
 
 
 def test_eval_non_finite_point_is_an_error_row(capsys):
@@ -390,6 +418,23 @@ def test_raising_case_becomes_a_failed_error_case(monkeypatch, capsys):
         assert case["passed"] is False
         assert case["flags"] == ["error"]
         assert case["detail"] == "ZeroDivisionError: injected"
+
+
+def test_every_case_runs_on_the_calling_thread(monkeypatch, capsys):
+    check = suites.tau_binomial_check
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "tau_binomial_check", recording)
+    code, _, _ = run(
+        capsys, "verify", "--suite", "tau-binomial", "--grid", "small",
+        "--threads", "4",
+    )
+    assert code == EXIT_PASS
+    assert seen == [threading.get_ident()] * 4
 
 
 def _fresh_report(*argv):

@@ -512,6 +512,36 @@ def test_far_point_raises_without_warnings():
             gb_eval_many([1000 - 0.3j], 0.8)
 
 
+def test_underflow_far_below_the_strip_raises():
+    # At b = 0.8, |G_b| shrinks far below the strip.  A value still in the
+    # normal double range is returned; below it (a subnormal at 1 - 4600i, a
+    # 0 at 1 - 5000i), with no zero of G_b near either point, the typed error
+    # names the point.
+    m = as_modulus(0.8)
+    v = gb_eval(1 - 3000j, m)
+    assert v == pytest.approx(-7.891051e-206 - 2.059718e-205j, rel=1e-6)
+    for z in (1 - 4600j, 1 - 5000j):
+        with pytest.raises(UnsupportedParameterError, match="not finite") as err:
+            gb_eval_many([0.5, z, 0.3], m)
+        assert str(z) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"rel_tol": 0.0}, {"rel_tol": -1e-10}, {"rel_tol": 1.0}, {"rel_tol": math.nan},
+     {"trunc_margin": math.nan}, {"trunc_margin": math.inf}, {"trunc_margin": -1.0},
+     {"precision": "extnded"}],
+)
+def test_eval_config_refuses_values_outside_its_domain(kwargs):
+    with pytest.raises(ParameterDomainError):
+        EvalConfig(**kwargs)
+
+
+def test_eval_config_accepts_its_domain_edges():
+    cfg = EvalConfig(rel_tol=0.5, trunc_margin=0.0, precision="extended")
+    assert (cfg.rel_tol, cfg.trunc_margin, cfg.precision) == (0.5, 0.0, "extended")
+
+
 def test_one_minus_exp_small_argument_accuracy():
     w = 1e-9j
     # Direct form loses ~9 digits here; the helper must not.

@@ -383,8 +383,10 @@ def test_symbol_evaluate_raises_on_a_pole_of_a_reciprocal_factor():
     assert err.value.lattice_point == m.Q
     # The zero of a positive power is a plain zero of the symbol.
     assert sym.evaluate({"A": 0.4, "B": m.Q}, m) == 0
-    # Far below the strip G_b underflows to 0 away from any zero.
-    assert gb_eval_many([1 - 10000j], m)[0] == 0
+    # Far below the strip G_b underflows away from any zero: a typed error,
+    # not a 0.
+    with pytest.raises(UnsupportedParameterError):
+        gb_eval_many([1 - 10000j], m)
     with pytest.raises(UnsupportedParameterError, match="not finite"):
         sym.evaluate({"A": 1 - 10000j, "B": 0.4}, m)
 

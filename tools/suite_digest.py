@@ -3,8 +3,9 @@
     python3 tools/suite_digest.py write OUT.json [--src DIR]
     python3 tools/suite_digest.py compare BEFORE.json AFTER.json
 
-`write` runs 38 suite reports, each in a fresh interpreter at `--threads 1`:
-every suite at `--grid default` and `--grid small`, at b = 0.8 and b = 0.6,
+`write` runs 38 suite reports, each in a fresh interpreter (the
+`--threads 1` it passes has no effect, since suites run their cases in
+order on one thread): every suite at `--grid default` and `--grid small`, at b = 0.8 and b = 0.6,
 and product-oracle (which needs Im b^2 > 0) at b = 0.6+0.1i.  It stores each
 JSON report without its wall-clock fields `timestamp` and `elapsed_seconds`,
 with its exit code.  It also stores `qdilog eval --format csv` on the
