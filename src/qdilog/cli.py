@@ -15,12 +15,21 @@ to a file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from dataclasses import dataclass, fields
 
-from .core import EvalConfig, _near_lattice, as_modulus, gb_eval, gb_eval_many, small_gb
+from .core import (
+    EvalConfig,
+    _near_lattice,
+    _small_gb_arg,
+    as_modulus,
+    gb_eval,
+    gb_eval_many,
+    small_gb,
+)
 from .errors import (
     ContourUnsupportedError,
     ConvergenceError,
@@ -164,6 +173,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# Built at the first main() call, not at import, and then reused: parse_args
+# keeps no state between calls.
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="qdilog", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -217,21 +229,25 @@ def _value_row(k: int, z: complex, v: complex, rel: float, near: bool) -> EvalRo
 def _eval_rows(what: str, points: list, m, ecfg, rel: float) -> list:
     """One EvalRow per point.
 
-    G_b takes all of a request's points in one gb_eval_many call.  If that
-    raises, each point is evaluated alone, so that only the failing points
-    become error rows.
+    G_b and g_b take all of a request's points in one gb_eval_many call.
+    If that raises, each point is evaluated alone, so that only the failing
+    points become error rows.
     """
-    if what == "Gb":
-        try:
+    try:
+        if what == "Gb":
             values = gb_eval_many(points, m, ecfg).tolist()
-        except QdilogError:
-            pass
-        else:
             near = _near_lattice(points, m, POLE_FLAG_DISTANCE).any(axis=0)
-            return [
-                _value_row(k, z, v, rel, bool(n))
-                for k, (z, v, n) in enumerate(zip(points, values, near))
-            ]
+        else:
+            args = [_small_gb_arg(x, m) for x in points]
+            values = [m.zeta_bar / v for v in gb_eval_many(args, m, ecfg).tolist()]
+            near = [False] * len(points)
+    except QdilogError:
+        pass
+    else:
+        return [
+            _value_row(k, z, v, rel, bool(n))
+            for k, (z, v, n) in enumerate(zip(points, values, near))
+        ]
     rows = []
     for k, z in enumerate(points):
         try:
@@ -291,6 +307,11 @@ def _cmd_verify(args, cfg: RunConfig) -> tuple:
 
 
 def main(argv=None) -> int:
+    """Run one qdilog command (argv defaults to sys.argv[1:]); return its exit code.
+
+    The argument parser is built at the first call and reused by later
+    calls in the same process.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

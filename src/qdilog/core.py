@@ -32,6 +32,7 @@ G_b -> zeta_b e^{pi i z(z-Q)} (Im z -> -inf).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -366,6 +367,33 @@ _NODE_BLOCK = 1024
 _ROW = 16
 
 
+@functools.lru_cache(maxsize=32)
+def _row_weights(b, b_inv, Q, h, c, side, ctype, a0, n_rows):
+    """Read-only (first node t of each row, node weights) for rows a0.. of one line.
+
+    Rows a < 0 lie left of the origin, where the weight of node t is
+    h / (t (1 - e^{bt}) (1 - e^{t/b})).  Right of it the factors are
+    rewritten over (1 - e^{-bt}) (1 - e^{-t/b}), so nothing overflows, and
+    the weights take the row's e^{-Q j h}.  The key holds every value the
+    weights come from, so a changed step or precision gets rows of its own;
+    one entry is at most _NODE_BLOCK weights (16 KB, 32 KB extended).
+    """
+    hh = ctype(h).real
+    jh = np.arange(_ROW) * hh
+    n_left = min(max(-a0, 0), n_rows)
+    k0 = a0 * _ROW
+    x = (np.arange(k0, k0 + n_rows * _ROW) + 0.25) * hh
+    t = x.reshape(-1, _ROW) + np.asarray(1j * side * c, dtype=ctype)
+    sign = np.ones((n_rows, 1))
+    sign[n_left:] = -1.0
+    w = h / (t * one_minus_exp(sign * b * t) * one_minus_exp(sign * b_inv * t))
+    w[n_left:] *= np.exp(-ctype(Q) * jh)
+    t0 = t[:, 0].copy()
+    t0.setflags(write=False)
+    w.setflags(write=False)
+    return t0, w
+
+
 def _log_gb_strip_batch(
     z0s: np.ndarray, m: ModulusParam, cfg: EvalConfig
 ) -> np.ndarray:
@@ -390,6 +418,10 @@ def _log_gb_strip_batch(
     of rows is then two small products, of the table's even and odd columns
     with the matching weights, each followed by a sum along the rows: the
     nodes of even k give T_2h, and both parities together T_h.
+
+    The weights depend on the points only through the node range, so a
+    block's weights come from _row_weights, memoised across calls; this
+    copy of them has the nodes outside [k_lo, k_hi) set to zero.
     """
     tail_target = cfg.rel_tol * 10.0 ** (-cfg.trunc_margin)
     # log_gb_strip has checked that both distances are positive.
@@ -401,10 +433,8 @@ def _log_gb_strip_batch(
     k_lo = math.floor(-reach / lam_left / h)
     k_hi = math.ceil(reach / lam_right / h)
     ctype = np.clongdouble if cfg.precision == "extended" else np.complex128
-    hh = ctype(h).real
     target = math.sqrt(0.5 * cfg.rel_tol)
-    jh = np.arange(_ROW) * hh
-    right_tilt = np.exp(-ctype(m.Q) * jh)
+    jh = np.arange(_ROW) * ctype(h).real
     rows_per_block = _NODE_BLOCK // _ROW
     a_lo, a_hi = k_lo // _ROW, -(-k_hi // _ROW)
     out = np.empty(len(z0s), dtype=complex)
@@ -420,23 +450,15 @@ def _log_gb_strip_batch(
             n_rows = min(rows_per_block, a_hi - a0)
             n_left = min(max(-a0, 0), n_rows)  # rows a < 0 come first
             k0 = a0 * _ROW
-            x = (np.arange(k0, k0 + n_rows * _ROW) + 0.25) * hh
-            t = x.reshape(-1, _ROW) + np.asarray(1j * side * c, dtype=ctype)
-            # Right of the origin the factors are rewritten as e^{(z0-Q)t}
-            # over (1-e^{-bt})(1-e^{-t/b}), so nothing overflows.
-            sign = np.ones((n_rows, 1))
-            sign[n_left:] = -1.0
-            w = h / (
-                t * one_minus_exp(sign * m.b * t) * one_minus_exp(sign * m.b_inv * t)
-            )
+            t0, w = _row_weights(m.b, m.b_inv, m.Q, h, c, side, ctype, a0, n_rows)
             # The first and last rows may reach past [k_lo, k_hi).
+            w = w.copy()
             nodes = w.reshape(-1)
             nodes[: max(k_lo - k0, 0)] = 0.0
             nodes[max(k_hi - k0, 0) :] = 0.0
-            w[n_left:] *= right_tilt
             head = np.empty((len(z), n_rows), dtype=ctype)
-            head[:, :n_left] = np.outer(z, t[:n_left, 0])
-            head[:, n_left:] = np.outer(z - m.Q, t[n_left:, 0])
+            head[:, :n_left] = np.outer(z, t0[:n_left])
+            head[:, n_left:] = np.outer(z - m.Q, t0[n_left:])
             np.exp(head, out=head)
             # einsum, not `@`: with OpenBLAS free to thread on two cores, `@`
             # made a 384-point batch 2.5-5 times slower while the other core
@@ -658,11 +680,15 @@ def gb_product_oracle(x: complex, b) -> complex:
 def small_gb(x: complex, b, cfg: EvalConfig | None = None) -> complex:
     """g_b(x) = zeta_bar / G_b(Q/2 + log(x) / (2 pi i b)), principal log."""
     m = as_modulus(b)
+    return m.zeta_bar / gb_eval(_small_gb_arg(x, m), m, cfg)
+
+
+def _small_gb_arg(x: complex, m: ModulusParam) -> complex:
+    """The G_b argument Q/2 + log(x) / (2 pi i b) of g_b(x)."""
     x = complex(x)
     if x == 0:
         raise ParameterDomainError("g_b needs a nonzero argument")
-    z = m.Q / 2 + cmath.log(x) / (2j * math.pi * m.b)
-    return m.zeta_bar / gb_eval(z, m, cfg)
+    return m.Q / 2 + cmath.log(x) / (2j * math.pi * m.b)
 
 
 def func_eq_general(x: complex, n1: int, n2: int, b) -> complex:

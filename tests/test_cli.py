@@ -19,8 +19,8 @@ from qdilog.cli import (
     main,
     parse_complex,
 )
-from qdilog import core, suites
-from qdilog.core import EvalConfig, as_modulus, gb_eval
+from qdilog import cli, core, suites
+from qdilog.core import EvalConfig, as_modulus, gb_eval, small_gb
 from qdilog.errors import ConvergenceError
 from qdilog.reports import EVAL_CSV_COLUMNS, VERIFY_CSV_COLUMNS
 
@@ -141,8 +141,6 @@ def test_eval_zeta_row(capsys):
 
 
 def test_eval_small_g_matches_library(capsys):
-    from qdilog.core import small_gb
-
     code, out, _ = run(
         capsys, "eval", "--what", "gb", "--points", "0.3+0.2i", "--format", "json"
     )
@@ -455,3 +453,49 @@ def _fresh_report(*argv):
 def test_report_does_not_depend_on_the_thread_count():
     argv = ("verify", "--suite", "kac", "--grid", "small", "--format", "json")
     assert _fresh_report(*argv, "--threads", "1") == _fresh_report(*argv, "--threads", "2")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    cli._build_parser.cache_clear()
+    code, out, _ = run(capsys, "eval", "--what", "zeta", "--format", "csv")
+    assert code == EXIT_PASS and out.startswith(",".join(EVAL_CSV_COLUMNS))
+    # No --format: pretty output, not the csv of the call before.
+    code, out, _ = run(capsys, "eval", "--what", "zeta")
+    assert code == EXIT_PASS and not out.startswith(",".join(EVAL_CSV_COLUMNS))
+    assert "zeta" in out
+    code, _, _ = run(capsys, "eval", "--what", "nope")
+    assert code == EXIT_USAGE
+    code, out, _ = run(
+        capsys, "verify", "--suite", "funceq", "--grid", "small", "--format", "json"
+    )
+    assert code == EXIT_PASS and json.loads(out)["suite"] == "funceq"
+    code, out, _ = run(capsys, "eval", "--what", "Gb", "--points", "0.5", "--format", "json")
+    assert code == EXIT_PASS and json.loads(out)["what"] == "Gb"
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def _small_g_rows(capsys, points):
+    code, out, _ = run(
+        capsys, "eval", "--what", "gb", "--points=" + ",".join(points), "--format", "json"
+    )
+    assert code == EXIT_PASS
+    return json.loads(out)["rows"]
+
+
+def test_eval_small_g_request_matches_per_point_evaluation(capsys):
+    # g_b, too, takes a request's points in one batch, and a failing point
+    # sends it back to one point at a time.
+    m = as_modulus(0.8)
+    good = ["0.3+0.2i", "-1.5+0.1i", "2", "0.01-0.5i", "40+3i"]
+    for p, row in zip(good, _small_g_rows(capsys, good)):
+        v = complex(row["value"]["re"], row["value"]["im"])
+        assert abs(v - small_gb(parse_complex(p), m)) <= 1e-13 * abs(v)
+        assert row["flags"] == []
+    mixed = [good[0], "0", good[1], "nan", good[2]]
+    rows = _small_g_rows(capsys, mixed)
+    for k, (p, row) in enumerate(zip(mixed, rows)):
+        alone = {**_small_g_rows(capsys, [p])[0], "index": k}
+        assert json.dumps(row, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    for row in rows[1], rows[3]:
+        assert row["flags"] == ["error"] and "ParameterDomainError" in row["detail"]

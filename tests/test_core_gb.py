@@ -27,6 +27,7 @@ from qdilog.core import (
     zero_limit,
 )
 from qdilog.errors import (
+    ConvergenceError,
     DegenerateParameterError,
     ParameterDomainError,
     PoleProximityError,
@@ -446,6 +447,48 @@ def test_factored_strip_sum_matches_direct_sum(b):
     ext = EvalConfig(precision="extended")
     got = core._log_gb_strip_batch(batches[2], m, ext)
     assert np.max(np.abs(got - _direct_strip_sum(batches[2], m, ext))) < 1e-14
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+@pytest.mark.parametrize("b", [0.8, 0.6 + 0.1j])
+def test_memoised_row_weights_keep_every_bit(b, precision):
+    # Both half-planes, a lone point, and a point near the edge whose node
+    # range spans many blocks, cold and then served from the memo.
+    m, cfg = as_modulus(b), EvalConfig(precision=precision)
+    batches = [
+        np.array([0.4 * m.Q.real + 0.3j]),
+        (np.linspace(0.1, 0.9, 12) * m.Q.real) + 1j * np.linspace(-2, 2, 12),
+        np.array([1e-3 + 0.2j, 0.5 * m.Q.real - 0.4j]),
+    ]
+    core._row_weights.cache_clear()
+    cold = [core.log_gb_strip(zs, m, cfg) for zs in batches]
+    assert core._row_weights.cache_info().currsize > 0
+    for zs, first in zip(batches, cold):
+        warm = core.log_gb_strip(zs, m, cfg)
+        assert warm.tobytes() == first.tobytes()
+
+
+def test_row_weight_memo_stays_bounded():
+    for b in np.linspace(0.3, 3.0, 40):
+        core.log_gb_strip([0.5 * (b + 1 / b) + 0.1j, 0.3 - 0.1j], b)
+    assert core._row_weights.cache_info().currsize <= 32
+
+
+def test_changed_step_gets_fresh_row_weights(monkeypatch):
+    # A warm memo must not hand a changed step the rows of the old one.  At
+    # depth 0.78 this point's rows span the same indices as at the default
+    # depth, so only the step in the key tells the two apart; with a step
+    # five times too coarse the sum still fails its check.
+    m = as_modulus(0.8)
+    z = [0.5 * m.Q.real + 0.2j]
+    core.log_gb_strip(z, m)
+    monkeypatch.setattr(core, "_TRAP_DEPTH", 0.78)
+    warm = core.log_gb_strip(z, m)
+    core._row_weights.cache_clear()
+    assert warm.tobytes() == core.log_gb_strip(z, m).tobytes()
+    monkeypatch.setattr(core, "_TRAP_DEPTH", 4.0)
+    with pytest.raises(ConvergenceError):
+        gb_eval(0.3 + 0.2j, m)
 
 
 def test_nearest_lattice_point_identifies_origin():

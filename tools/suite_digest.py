@@ -8,16 +8,19 @@
 order on one thread): every suite at `--grid default` and `--grid small`, at b = 0.8 and b = 0.6,
 and product-oracle (which needs Im b^2 > 0) at b = 0.6+0.1i.  It stores each
 JSON report without its wall-clock fields `timestamp` and `elapsed_seconds`,
-with its exit code.  It also stores `qdilog eval --format csv` on the
-gb-table request inputs of benchmark seeds 1-3, one interpreter per seed.
+with its exit code.  It also stores `qdilog eval --what Gb --format csv` on
+the gb-table request inputs of benchmark seeds 1-3, one interpreter per
+seed, and `--what gb` on the same inputs (each z read as the argument x of
+g_b) in one more interpreter per seed.
 `--src` names the package source to import (default: the `src` beside this
 script), so one copy of the script digests any checkout.
 
 `compare` prints one line per suite report: the pass state, the worst
 deviation on each side, its change in decades, and the largest relative
 change of any case's `lhs` or `rhs`; then the largest relative change of the
-eval values.  It exits 1 if the two digests differ in anything but numbers:
-exit codes, pass states, labels, case order, flags, or empty eval cells.
+eval values, once for G_b and once for g_b.  It exits 1 if the two digests
+differ in anything but numbers: exit codes, pass states, labels, case order,
+flags, or empty eval cells.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SUITES = ("reflection", "funceq", "product-oracle", "pole-limits", "tau-binomial",
           "six-nine", "theorem31-exact", "q-binomial", "kac", "consistency")
 EVAL_SEEDS = (1, 2, 3)
+# Digest key and `--what` of each kind of eval request.
+EVAL_KINDS = (("evals", "Gb"), ("gb_evals", "gb"))
 VOLATILE = ("timestamp", "elapsed_seconds")
 
 _RUN_CLI = "import sys; from qdilog.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -63,12 +68,13 @@ def report_runs():
                 yield f"{suite} b={b} grid={grid}", argv
 
 
-def eval_argvs(seed: int) -> list:
+def eval_argvs(seed: int, what: str) -> list:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     requests = workloads.gb_table_inputs(seed)["requests"]
-    return [workloads.eval_argv(b, pairs) for b, pairs in requests]
+    argvs = [workloads.eval_argv(b, pairs) for b, pairs in requests]
+    return [[what if a == "Gb" else a for a in argv] for argv in argvs]
 
 
 def _python(src: pathlib.Path, code: str, args=(), stdin=None):
@@ -78,7 +84,7 @@ def _python(src: pathlib.Path, code: str, args=(), stdin=None):
 
 
 def write(out: pathlib.Path, src: pathlib.Path) -> None:
-    digest = {"reports": {}, "evals": {}}
+    digest = {"reports": {}}
     for key, argv in report_runs():
         proc = _python(src, _RUN_CLI, argv)
         report = json.loads(proc.stdout)
@@ -86,11 +92,13 @@ def write(out: pathlib.Path, src: pathlib.Path) -> None:
             report.pop(name)
         digest["reports"][key] = {"exit": proc.returncode, "report": report}
         print(f"{key}: exit {proc.returncode}", file=sys.stderr)
-    for seed in EVAL_SEEDS:
-        proc = _python(src, _RUN_EVALS, stdin=json.dumps(eval_argvs(seed)))
-        if proc.returncode:
-            raise SystemExit(f"eval requests of seed {seed} failed:\n{proc.stderr}")
-        digest["evals"][str(seed)] = json.loads(proc.stdout)
+    for key, what in EVAL_KINDS:
+        digest[key] = {}
+        for seed in EVAL_SEEDS:
+            proc = _python(src, _RUN_EVALS, stdin=json.dumps(eval_argvs(seed, what)))
+            if proc.returncode:
+                raise SystemExit(f"{what} requests of seed {seed} failed:\n{proc.stderr}")
+            digest[key][str(seed)] = json.loads(proc.stdout)
     out.write_text(json.dumps(digest, indent=1, sort_keys=True) + "\n")
 
 
@@ -148,25 +156,27 @@ def compare(before: dict, after: dict) -> int:
         state = f"{a['report']['passed']}/{b['report']['passed']}"
         print(f"{key:<40} {state:>9} {_sci(wa):>13} {_sci(wb):>13} "
               f"{_decades(wa, wb):>8} {rel:>11.2e}")
-    eval_rel = 0.0
-    for seed in sorted(before["evals"].keys() | after["evals"].keys()):
-        ra, rb = before["evals"].get(seed, []), after["evals"].get(seed, [])
-        if len(ra) != len(rb):
-            mismatches.append(f"eval seed {seed}: request count")
-        for k, ((code_a, text_a), (code_b, text_b)) in enumerate(zip(ra, rb)):
-            rows_a, rows_b = _eval_rows(text_a), _eval_rows(text_b)
-            same = code_a == code_b and len(rows_a) == len(rows_b) and all(
-                x["flags"] == y["flags"] and (x["value_re"] == "") == (y["value_re"] == "")
-                for x, y in zip(rows_a, rows_b))
-            if not same:
-                mismatches.append(f"eval seed {seed} request {k}")
-                continue
-            for x, y in zip(rows_a, rows_b):
-                if x["value_re"]:
-                    eval_rel = max(eval_rel, _rel(
-                        complex(float(x["value_re"]), float(x["value_im"])),
-                        complex(float(y["value_re"]), float(y["value_im"]))))
-    print(f"eval values: largest relative change {eval_rel:.2e}")
+    for key, what in EVAL_KINDS:
+        ea, eb = before.get(key, {}), after.get(key, {})
+        eval_rel = 0.0
+        for seed in sorted(ea.keys() | eb.keys()):
+            ra, rb = ea.get(seed, []), eb.get(seed, [])
+            if len(ra) != len(rb):
+                mismatches.append(f"{what} eval seed {seed}: request count")
+            for k, ((code_a, text_a), (code_b, text_b)) in enumerate(zip(ra, rb)):
+                rows_a, rows_b = _eval_rows(text_a), _eval_rows(text_b)
+                same = code_a == code_b and len(rows_a) == len(rows_b) and all(
+                    x["flags"] == y["flags"] and (x["value_re"] == "") == (y["value_re"] == "")
+                    for x, y in zip(rows_a, rows_b))
+                if not same:
+                    mismatches.append(f"{what} eval seed {seed} request {k}")
+                    continue
+                for x, y in zip(rows_a, rows_b):
+                    if x["value_re"]:
+                        eval_rel = max(eval_rel, _rel(
+                            complex(float(x["value_re"]), float(x["value_im"])),
+                            complex(float(y["value_re"]), float(y["value_im"]))))
+        print(f"{what} eval values: largest relative change {eval_rel:.2e}")
     for m in mismatches:
         print(f"MISMATCH: {m}")
     print("structure: " + ("differs" if mismatches else "same"))
