@@ -301,20 +301,22 @@ def strip_reduce(z: complex, m: ModulusParam) -> StripReduction:
     return StripReduction(z0=complex(z0[0]), n1=int(n1[0]), n2=int(n2[0]))
 
 
-def _shift_product(z0, n1, n2, m: ModulusParam, binv_first: bool = False):
+def _shift_product(z0, n1, n2, m: ModulusParam):
     """C with G_b(z0 - n1 b - n2 / b) = C * G_b(z0), for arrays of walks.
 
     From z0 the walk takes its b-steps, then its 1/b-steps from where those
-    end (the other way round with binv_first).  A step down by s onto w
-    divides by 1 - e^{2 pi i s w}, a step up from w multiplies by it, so a
-    leg of |n| steps takes the factors at base + j s, j < |n|, from its lower
-    end.  A block of (points x steps) factors is formed at once and
-    multiplied along the step axis.
+    end.  A step down by s onto w divides by 1 - e^{2 pi i s w}, a step up
+    from w multiplies by it, so a leg of |n| steps takes the factors at
+    base + j s, j < |n|, from its lower end.  A block of (points x steps)
+    factors is formed at once and multiplied along the step axis.
+    Taking the 1/b-steps first would form the same factors, each being
+    periodic under a step of the other kind (s s' = 1), so no second order
+    can check the walk; the consistency suite compares it with the scalar
+    shift equation.
     """
     w = np.asarray(z0, dtype=complex)
     c = np.ones(len(w), dtype=complex)
-    legs = ((m.b_inv, n2), (m.b, n1)) if binv_first else ((m.b, n1), (m.b_inv, n2))
-    for s, n in legs:
+    for s, n in ((m.b, n1), (m.b_inv, n2)):
         n = np.asarray(n)
         if not n.any():
             continue
@@ -335,20 +337,9 @@ def _shift_product(z0, n1, n2, m: ModulusParam, binv_first: bool = False):
     return c
 
 
-def reduction_correction(
-    red: StripReduction, m: ModulusParam, order: str = "b-first"
-) -> complex:
-    """Exact factor C with G_b(z) = C * G_b(red.z0).
-
-    Walks from z0 back to z, multiplying or dividing the shift-equation
-    factors.  The two orders take the b-steps and the 1/b-steps in opposite
-    sequence, so their factors sit at different points; they agree up to
-    roundoff because the shifts commute.
-    """
-    if order not in ("b-first", "binv-first"):
-        raise ValueError(f"unknown order {order!r}")
-    c = _shift_product([red.z0], [red.n1], [red.n2], m, order == "binv-first")
-    return complex(c[0])
+def reduction_correction(red: StripReduction, m: ModulusParam) -> complex:
+    """Exact factor C with G_b(z) = C * G_b(red.z0); see _shift_product."""
+    return complex(_shift_product([red.z0], [red.n1], [red.n2], m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +610,8 @@ def gb_eval(z: complex, b, cfg: EvalConfig | None = None) -> complex:
 # Independent product representation (decaying only for Im b^2 > 0)
 
 
-_ORACLE_REL_TOL = 1e-12
+# Bound on the log of the factors a truncated product leaves out.
+_ORACLE_TAIL = 2.0**-53
 _ORACLE_MAX_TERMS = 200_000
 
 
@@ -630,8 +622,12 @@ def gb_product_oracle(x: complex, b) -> complex:
                           / prod_{n>=0}(1 - e^{2 pi i b (x + n b)})
 
     Both products converge geometrically only when Im(b^2) > 0; other moduli
-    are refused.  Truncation stops once the remaining factors are bounded
-    below 1e-13.
+    are refused.  Factor n of a product is 1 - u_n, u_n = e^{e0 + n e1}, and
+    the log of the factors from N on is at most |u_N| / ((1 - |r|)(1 - |u_N|))
+    with |r| = e^{Re e1}.  Each product takes the least N that bounds this
+    below 2**-53; one that needs more than 200,000 factors raises
+    ConvergenceError before any is formed.  A value outside the normal
+    double range raises UnsupportedParameterError.
     """
     m = as_modulus(b)
     if not ((m.b * m.b).imag > 0.0):
@@ -639,38 +635,34 @@ def gb_product_oracle(x: complex, b) -> complex:
             "product representation needs Im(b^2) > 0; use the integral route"
         )
     x = complex(x)
-    r_num = m.q_tilde ** (-2)
-    r_den = m.q**2
+    two_pi_i = 2j * math.pi
     total = 0j
-
-    def log1m(u: complex) -> complex:
-        if abs(u) < 1e-4:
-            return -u * (1 + u * (0.5 + u * (1 / 3 + u * 0.25)))
-        v = 1.0 - u
-        if v == 0:
-            raise PoleProximityError(x, x, 0.0)
-        return cmath.log(v)
-
-    for sign, first, ratio in (
-        (+1, cmath.exp(2j * math.pi * m.b_inv * (x - m.b_inv)), r_num),
-        (-1, cmath.exp(2j * math.pi * m.b * x), r_den),
-    ):
-        u = first
-        q_abs = abs(ratio)
-        for _ in range(_ORACLE_MAX_TERMS):
-            total += sign * log1m(u)
-            u = u * ratio
-            bound = abs(u) / ((1.0 - q_abs) * max(1.0 - abs(u), 1e-3))
-            if bound < _ORACLE_REL_TOL / 10.0:
-                break
-        else:
-            raise ConvergenceError(
-                value=None,
-                achieved_error=float("nan"),
-                target=_ORACLE_REL_TOL,
-                message="product truncation did not reach its bound",
-            )
-    return m.zeta_bar * cmath.exp(total)
+    with np.errstate(all="ignore"):
+        for sign, e0, e1 in (
+            (+1, two_pi_i * m.b_inv * (x - m.b_inv), -two_pi_i * m.b_inv * m.b_inv),
+            (-1, two_pi_i * m.b * x, two_pi_i * m.b * m.b),
+        ):
+            # The bound is below the tail where |u_N| < c / (1 + c), that is
+            # for N > n; a NaN n counts as too many factors.
+            c = _ORACLE_TAIL * -np.expm1(e1.real)
+            n = (np.log(c / (1 + c)) - e0.real) / e1.real
+            if not n < _ORACLE_MAX_TERMS:
+                raise ConvergenceError(
+                    value=None,
+                    achieved_error=float("nan"),
+                    target=_ORACLE_TAIL,
+                    message=f"product truncation needs over {_ORACLE_MAX_TERMS} terms",
+                )
+            u = np.exp(e0 + np.arange(max(np.floor(n) + 1, 0)) * e1)
+            if (u == 1).any():
+                raise PoleProximityError(x, x, 0.0)
+            total += sign * np.log1p(-u).sum()
+        value = complex(m.zeta_bar * np.exp(total))
+    if not (cmath.isfinite(value) and abs(value) >= np.finfo(float).tiny):
+        raise UnsupportedParameterError(
+            f"G_b(x) at x = {x}, b = {m.b} leaves the normal double range"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -556,16 +556,15 @@ class Symbol:
     ) -> complex:
         """Numeric value: exp(gauss) times the product of G_b factor powers.
 
+        evaluate_on at one point of a generator the symbol does not contain:
+        a run of underscores longer than every generator name in it.
         Raises PoleProximityError where a factor with a negative exponent
         sits on a zero of G_b.
         """
-        args = [f.argument.evaluate(bindings) for f in self.factors]
-        vals = gb_eval_many(args, m, cfg)
-        _check_reciprocals([f.exponent for f in self.factors], args, vals, m)
-        total = cmath.exp(self.gauss.evaluate(bindings))
-        for f, v in zip(self.factors, vals):
-            total *= v ** f.exponent
-        return total
+        names = {n for pair, _ in self.gauss.terms for n in pair}
+        names.update(n for f in self.factors for n, _ in f.argument.terms)
+        var = "_" * (1 + max(map(len, names), default=0))
+        return complex(self.evaluate_on(var, np.zeros(1), bindings, m, cfg)[0])
 
     def evaluate_on(
         self,

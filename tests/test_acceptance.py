@@ -80,7 +80,7 @@ def test_criterion_05_beta_integral_grid():
 
 
 def test_criterion_06_six_to_nine_with_substitution_tuple():
-    rep = run_six_nine(tol=1e-5, seed=DEFAULT_SEED, n_random=10, include_kac_tuple=True)
+    rep = run_six_nine(tol=1e-5, seed=DEFAULT_SEED, n_random=10)
     assert sum(1 for c in rep.cases if c.label.startswith("random")) == 10
     assert any("kac-substitution" in c.label for c in rep.cases)
     _summarize("criterion-06", rep)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qdilog import core
+from qdilog import core, suites
 from qdilog.core import (
     EvalConfig,
     as_modulus,
@@ -21,7 +21,6 @@ from qdilog.core import (
     nearest_lattice_point,
     one_minus_exp,
     pole_limit,
-    reduction_correction,
     small_gb,
     strip_reduce,
     zero_limit,
@@ -92,6 +91,25 @@ def test_product_oracle_cross_route():
 def test_product_oracle_refuses_real_modulus():
     with pytest.raises(UnsupportedParameterError):
         gb_product_oracle(0.5, 0.8)
+
+
+def test_product_oracle_refuses_before_forming_terms():
+    # At Im b^2 = 1.6e-7 the product needs about 4e7 factors: the count is
+    # known, and refused, before any array is built.
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        gb_product_oracle(0.5 + 0.1j, 0.8 + 1e-7j)
+    assert time.perf_counter() - t0 < 0.05
+
+
+def test_product_oracle_raises_typed_errors_at_the_edges():
+    m = as_modulus(0.6 + 0.1j)
+    # -b is a pole: one factor of the denominator is exactly 1 - e^0.
+    with pytest.raises(PoleProximityError):
+        gb_product_oracle(-m.b, m)
+    # |e^{2 pi i b x}| = e^{754} overflows.
+    with pytest.raises(UnsupportedParameterError, match="double range"):
+        gb_product_oracle(0.5 - 200j, m)
 
 
 @pytest.mark.parametrize(
@@ -249,18 +267,39 @@ def test_array_reduction_matches_the_greedy_walk(b):
             strip_reduce(z, m)
 
 
-def test_reduction_correction_order_independent():
-    # 5.4 + 0.35i walks by both kinds of step at both moduli, so the two
-    # orders multiply different factors.
-    for b in (0.8, 0.6):
-        m = as_modulus(b)
-        red = strip_reduce(5.4 + 0.35j, m)
-        assert red.n1 != 0 and red.n2 != 0
-        c1 = reduction_correction(red, m, order="b-first")
-        c2 = reduction_correction(red, m, order="binv-first")
-        assert rel(c1, c2) < 1e-12
-    with pytest.raises(ValueError):
-        reduction_correction(red, m, order="sideways")
+def _walk(invert=False, offset=0):
+    """A scalar stand-in for core._shift_product.  invert flips each leg's
+    factor; offset 1 takes a leg's factors down from its upper end instead
+    of up from its lower end."""
+
+    def walk(z0, n1, n2, m):
+        out = []
+        for w, k1, k2 in zip(z0, n1, n2):
+            c = 1.0
+            for s, k in ((m.b, int(k1)), (m.b_inv, int(k2))):
+                base = w - max(k, 0) * s + offset * s
+                js = np.arange(abs(k))
+                p = np.prod(one_minus_exp(2j * math.pi * s * (base + js * s)))
+                c *= p if (k > 0) == invert else 1.0 / p
+                w = w - k * s
+            out.append(c)
+        return np.array(out, dtype=complex)
+
+    return walk
+
+
+@pytest.mark.parametrize("b", [0.8, 0.6])
+def test_consistency_reduction_case_sees_a_wrong_walk(b, monkeypatch):
+    # The contour pairs are stubbed out: only the reduction case is read.
+    ok = {"passed": True}
+    monkeypatch.setattr(suites, "_consistency_pair", lambda *args: (ok, ok))
+    for mutant, fails in ((_walk(), False), (_walk(invert=True), True),
+                          (_walk(offset=1), True)):
+        monkeypatch.setattr(core, "_shift_product", mutant)
+        rep = suites.run_consistency(b=b)
+        (case,) = [c for c in rep.cases if c.label == "reduction walk vs shift equation"]
+        assert not case.flags and case.passed != fails
+        assert case.deviation > 0.1 if fails else case.deviation < 1e-12
 
 
 def test_small_gb_shift_identity():

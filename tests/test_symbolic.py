@@ -24,8 +24,8 @@ from qdilog.symbolic import (
     symbol_equal_exact,
 )
 
-fractions = st.fractions(
-    min_value=-8, max_value=8, max_denominator=12
+fractions = st.builds(Fraction, st.integers(-96, 96), st.integers(1, 12)).filter(
+    lambda f: -8 <= f <= 8
 )
 gaussrats = st.builds(GaussRat, fractions, fractions)
 names = st.sampled_from(["x", "y", "z", "w"])
@@ -103,7 +103,7 @@ def _triple(g):
     return g._a, g._b, g._d
 
 
-wide_fractions = st.fractions(max_denominator=10**6)
+wide_fractions = st.builds(Fraction, st.integers(), st.integers(1, 10**6))
 wide_gaussrats = st.builds(GaussRat, wide_fractions, wide_fractions)
 
 
