@@ -121,6 +121,15 @@ def _classify_steps(s1: complex, s2: complex) -> int:
     return 1 if s1.imag > 0 else -1
 
 
+def _moving_factors(spec: IntegrandSpec, bindings: Mapping[str, complex]):
+    """(exponent, slope g, offset a0) of each factor whose argument
+    a0 + g v moves with the integration variable v."""
+    for f in spec.symbol.factors:
+        g = complex(f.argument.coeff(spec.var))
+        if g != 0:
+            yield f.exponent, g, f.argument.drop(spec.var).evaluate(bindings)
+
+
 def pole_sequences(
     spec: IntegrandSpec, bindings: Mapping[str, complex], b
 ) -> tuple:
@@ -128,32 +137,21 @@ def pole_sequences(
     m = as_modulus(b)
     poles: list[PoleSeq] = []
     zeros: list[PoleSeq] = []
-    for f in spec.symbol.factors:
-        g = complex(f.argument.coeff(spec.var))
-        if g == 0:
-            continue
-        a0 = f.argument.drop(spec.var).evaluate(bindings)
+    for e, g, a0 in _moving_factors(spec, bindings):
         at_pole_lattice = ((-a0) / g, (-m.b / g, -m.b_inv / g))
         at_zero_lattice = ((m.Q - a0) / g, (m.b / g, m.b_inv / g))
-        if f.exponent > 0:
+        if e > 0:
             pole_loc, zero_loc = at_pole_lattice, at_zero_lattice
         else:
             pole_loc, zero_loc = at_zero_lattice, at_pole_lattice
         for target, (base, steps) in ((poles, pole_loc), (zeros, zero_loc)):
-            target.append(
-                PoleSeq(base, *steps, _classify_steps(*steps), abs(f.exponent))
-            )
+            target.append(PoleSeq(base, *steps, _classify_steps(*steps), abs(e)))
     return poles, zeros
 
 
-def fan_points(
-    seq: PoleSeq,
-    im_lo: float,
-    im_hi: float,
-    re_lo: float = -math.inf,
-    re_hi: float = math.inf,
-) -> np.ndarray:
-    """Fan points inside the box as a complex array, n1 outer and n2 inner."""
+def fan_points(seq: PoleSeq, im_lo: float, im_hi: float) -> np.ndarray:
+    """Fan points with im_lo <= Im v <= im_hi as a complex array, n1 outer
+    and n2 inner."""
     reach = seq.base.imag - im_lo if seq.direction < 0 else im_hi - seq.base.imag
     n1, n2 = (
         np.arange(min(_FAN_CAP, int(reach / abs(s.imag)) + 1) + 1)
@@ -162,8 +160,7 @@ def fan_points(
         for s in (seq.step_b, seq.step_binv)
     )
     p = ((seq.base + n1[:, None] * seq.step_b) + n2 * seq.step_binv).ravel()
-    inside = (im_lo <= p.imag) & (p.imag <= im_hi) & (re_lo <= p.real) & (p.real <= re_hi)
-    return p[inside]
+    return p[(im_lo <= p.imag) & (p.imag <= im_hi)]
 
 
 def _close_pairs(a: np.ndarray, b: np.ndarray, tol: np.ndarray):
@@ -315,13 +312,8 @@ def _direction_coeffs(spec: IntegrandSpec, bindings, m, d: int):
     the rest tend to a constant.
     """
     c2, c1, _ = spec.symbol.gauss.polynomial_in(spec.var, bindings)
-    for f in spec.symbol.factors:
-        g = complex(f.argument.coeff(spec.var))
-        if g == 0:
-            continue
+    for e, g, a0 in _moving_factors(spec, bindings):
         if g.imag * d < 0:
-            a0 = f.argument.drop(spec.var).evaluate(bindings)
-            e = f.exponent
             c2 += e * 1j * g * g
             c1 += e * 1j * g * (2 * a0 - m.Q)
     return c2, c1

@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,22 +97,36 @@ class ModulusParam:
 
 
 def make_modulus(b: complex) -> ModulusParam:
-    """Validate b and bundle its derived constants."""
+    """Validate b and bundle its derived constants.
+
+    Raises UnsupportedParameterError where a constant leaves double range:
+    one is not finite, or q, q_tilde or zeta is 0.
+    """
     b = complex(b)
     if not (b.real > 0.0) or not math.isfinite(b.real) or not math.isfinite(b.imag):
         raise ParameterDomainError(f"modulus must satisfy Re b > 0, got b={b}")
-    b_inv = 1.0 / b
-    log_zeta = 1j * math.pi / 4 + 1j * math.pi * (b * b + b_inv * b_inv) / 12
-    zeta = cmath.exp(log_zeta)
-    return ModulusParam(
-        b=b,
-        b_inv=b_inv,
-        Q=b + b_inv,
-        q=cmath.exp(1j * math.pi * b * b),
-        q_tilde=cmath.exp(1j * math.pi * b_inv * b_inv),
-        zeta=zeta,
-        zeta_bar=1.0 / zeta,
-        log_zeta=log_zeta,
+    try:
+        b_inv = 1.0 / b
+        log_zeta = 1j * math.pi / 4 + 1j * math.pi * (b * b + b_inv * b_inv) / 12
+        zeta = cmath.exp(log_zeta)
+        m = ModulusParam(
+            b=b,
+            b_inv=b_inv,
+            Q=b + b_inv,
+            q=cmath.exp(1j * math.pi * b * b),
+            q_tilde=cmath.exp(1j * math.pi * b_inv * b_inv),
+            zeta=zeta,
+            zeta_bar=1.0 / zeta,
+            log_zeta=log_zeta,
+        )
+    except (OverflowError, ValueError, ZeroDivisionError):
+        pass
+    else:
+        finite = all(cmath.isfinite(getattr(m, f.name)) for f in fields(m))
+        if finite and 0 not in (m.q, m.q_tilde, m.zeta):
+            return m
+    raise UnsupportedParameterError(
+        f"the constants of modulus b={b} leave double range"
     )
 
 
@@ -385,6 +399,12 @@ def _row_weights(b, b_inv, Q, h, c, side, ctype, a0, n_rows):
     return t0, w
 
 
+def _log_down(z: np.ndarray, m: ModulusParam) -> np.ndarray:
+    """log zeta + pi i z (z - Q): the residue at t = 0 of the sum on Im t = -c,
+    and log G_b's asymptote for Im z -> -inf."""
+    return m.log_zeta + 1j * math.pi * z * (z - m.Q)
+
+
 def _log_gb_strip_batch(
     z0s: np.ndarray, m: ModulusParam, cfg: EvalConfig
 ) -> np.ndarray:
@@ -469,9 +489,7 @@ def _log_gb_strip_batch(
                 message=f"strip sum at z0 = {z0s[rows][worst]} unconverged: "
                 f"|T_h - T_2h| = {float(gap[worst]):.3e} (target {target:.3e})",
             )
-        base = -m.log_zeta if side > 0 else (
-            m.log_zeta + 1j * math.pi * z0s[rows] * (z0s[rows] - m.Q)
-        )
+        base = -m.log_zeta if side > 0 else _log_down(z0s[rows], m)
         out[rows] = base - t_h.astype(complex)
     return out
 
@@ -494,11 +512,7 @@ def log_gb_strip(z0s, b, cfg: EvalConfig | None = None) -> np.ndarray:
     up = scale * pts.imag >= _ASYM_THRESHOLD
     down = scale * pts.imag <= -_ASYM_THRESHOLD
     out[up] = -m.log_zeta
-    # Scalar arithmetic: numpy's vectorised complex product may fuse a
-    # multiply and an add, so its last bits depend on the CPU it runs on.
-    out[down] = [
-        m.log_zeta + 1j * math.pi * z * (z - m.Q) for z in pts[down].tolist()
-    ]
+    out[down] = _log_down(pts[down], m)
     mid = np.nonzero(~(up | down))[0]
     for i in range(0, len(mid), _STRIP_CHUNK):
         part = mid[i : i + _STRIP_CHUNK]

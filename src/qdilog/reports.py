@@ -171,15 +171,14 @@ def render_json(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _fmt(x, width=24, prec=16) -> str:
-    if x is None:
-        return "-".rjust(width)
-    return f"{float(x):.{prec}g}".rjust(width)
-
-
 def _r(x) -> str:
-    """repr of a float-like for CSV; exact round-trip, no numpy wrapper."""
-    return repr(float(x))
+    """repr of a float-like for CSV, exact round-trip and no numpy wrapper;
+    an empty cell for None."""
+    return "" if x is None else repr(float(x))
+
+
+def _parts(z) -> tuple:
+    return (None, None) if z is None else (z.real, z.imag)
 
 
 def render_csv(report) -> str:
@@ -188,37 +187,14 @@ def render_csv(report) -> str:
     if isinstance(report, EvalReport):
         w.writerow(EVAL_CSV_COLUMNS)
         for r in report.rows:
-            w.writerow(
-                [
-                    r.index,
-                    _r(r.point.real),
-                    _r(r.point.imag),
-                    _r(r.value.real) if r.value is not None else "",
-                    _r(r.value.imag) if r.value is not None else "",
-                    _r(r.err_estimate) if r.err_estimate is not None else "",
-                    ";".join(r.flags),
-                ]
-            )
+            nums = (*_parts(r.point), *_parts(r.value), r.err_estimate)
+            w.writerow([r.index, *map(_r, nums), ";".join(r.flags)])
         return buf.getvalue()
     w.writerow(VERIFY_CSV_COLUMNS)
     for c in report.cases:
-        w.writerow(
-            [
-                c.index,
-                c.label,
-                c.mode,
-                int(c.passed),
-                _r(c.deviation) if c.deviation is not None else "",
-                _r(c.tol) if c.tol is not None else "",
-                _r(c.err_estimate) if c.err_estimate is not None else "",
-                _r(c.lhs.real) if c.lhs is not None else "",
-                _r(c.lhs.imag) if c.lhs is not None else "",
-                _r(c.rhs.real) if c.rhs is not None else "",
-                _r(c.rhs.imag) if c.rhs is not None else "",
-                ";".join(c.flags),
-                c.detail,
-            ]
-        )
+        nums = (c.deviation, c.tol, c.err_estimate, *_parts(c.lhs), *_parts(c.rhs))
+        w.writerow([c.index, c.label, c.mode, int(c.passed), *map(_r, nums),
+                    ";".join(c.flags), c.detail])
     return buf.getvalue()
 
 

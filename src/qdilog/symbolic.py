@@ -303,9 +303,6 @@ class AffineForm:
             [(n, c) for n, c in self.terms if n != name], self.const
         )
 
-    def is_const(self) -> bool:
-        return not self.terms
-
     def substitute(self, name: str, form: "AffineForm") -> "AffineForm":
         c = self.coeff(name)
         if c.is_zero():
@@ -364,12 +361,14 @@ def as_affine(x) -> AffineForm:
     return const(GaussRat.of(x))
 
 
-def _affine_items(f: AffineForm):
-    """Terms of an affine form with the constant folded in as 'unit'."""
-    items = list(f.terms)
-    if not f.const.is_zero():
-        items.append(("unit", f.const))
-    return items
+def _expand_product(f1: AffineForm, f2: AffineForm, c: GaussRat) -> list:
+    """GaussExponent entries ((n1, n2), coefficient) of c * f1 * f2, each
+    form's nonzero constant entering as the generator 'unit'."""
+    t1, t2 = (
+        f.terms if f.const.is_zero() else f.terms + (("unit", f.const),)
+        for f in (f1, f2)
+    )
+    return [((n1, n2), c * c1 * c2) for n1, c1 in t1 for n2, c2 in t2]
 
 
 @dataclass(frozen=True)
@@ -444,9 +443,7 @@ class GaussExponent:
                 continue
             fa = form if a == name else gen(a)
             fb = form if b == name else gen(b)
-            for n1, c1 in _affine_items(fa):
-                for n2, c2 in _affine_items(fb):
-                    entries.append(((n1, n2), c * c1 * c2))
+            entries += _expand_product(fa, fb, c)
         return GaussExponent.make(entries)
 
     def polynomial_in(self, name: str, bindings: Mapping[str, complex]):
@@ -481,10 +478,7 @@ def gauss_from_products(
     """GaussExponent from (affine, affine, coeff) triples: sum c * f1 * f2."""
     entries = []
     for f1, f2, c in products:
-        c = GaussRat.of(c)
-        for n1, c1 in _affine_items(as_affine(f1)):
-            for n2, c2 in _affine_items(as_affine(f2)):
-                entries.append(((n1, n2), c * c1 * c2))
+        entries += _expand_product(as_affine(f1), as_affine(f2), GaussRat.of(c))
     return GaussExponent.make(entries)
 
 
@@ -556,25 +550,22 @@ class Symbol:
     ) -> complex:
         """Numeric value: exp(gauss) times the product of G_b factor powers.
 
-        evaluate_on at one point of a generator the symbol does not contain:
-        a run of underscores longer than every generator name in it.
-        Raises PoleProximityError where a factor with a negative exponent
-        sits on a zero of G_b.
+        evaluate_on with no grid variable, at one point.  Raises
+        PoleProximityError where a factor with a negative exponent sits on a
+        zero of G_b.
         """
-        names = {n for pair, _ in self.gauss.terms for n in pair}
-        names.update(n for f in self.factors for n, _ in f.argument.terms)
-        var = "_" * (1 + max(map(len, names), default=0))
-        return complex(self.evaluate_on(var, np.zeros(1), bindings, m, cfg)[0])
+        return complex(self.evaluate_on(None, np.zeros(1), bindings, m, cfg)[0])
 
     def evaluate_on(
         self,
-        var: str,
+        var: str | None,
         values: np.ndarray,
         bindings: Mapping[str, complex],
         m: ModulusParam,
         cfg: EvalConfig | None = None,
     ) -> np.ndarray:
-        """Vectorized value over a grid of the generator var.
+        """Vectorized value over a grid of the generator var (None: every
+        generator is bound and each grid value gives the same number).
 
         All factor arguments across all grid points go through one batched
         dilogarithm evaluation.  Raises PoleProximityError where a factor

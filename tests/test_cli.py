@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, report formats, config handling."""
 
+import csv
+import io
 import json
 import os
 import pathlib
@@ -83,6 +85,33 @@ def test_resonant_modulus_exit_code(capsys):
     assert code == EXIT_UNSUPPORTED
     assert out == ""
     assert "unsupported" in err.lower()
+
+
+def test_modulus_out_of_double_range_is_unsupported(capsys):
+    # At b = 0.001+0.001i, exp(log zeta) overflows.
+    code, out, err = run(
+        capsys, "eval", "--what", "Gb", "--b", "0.001+0.001j", "--points", "0.3"
+    )
+    assert code == EXIT_UNSUPPORTED
+    assert out == ""
+    assert "double range" in err
+
+
+def test_consistency_reports_a_failed_strip_evaluation(capsys):
+    # At b = 0.04 the strip sum does not converge and zr = 5.4 lies left of
+    # the band: every case fails on its own, and the report still prints.
+    code, out, _ = run(
+        capsys, "verify", "--suite", "consistency", "--b", "0.04", "--grid", "small",
+        "--format", "json",
+    )
+    assert code == EXIT_NUMERIC
+    cases = json.loads(out)["cases"]
+    assert len(cases) == 11
+    assert all(c["flags"] == ["error"] for c in cases)
+    details = {c["label"]: c["detail"] for c in cases}
+    assert details["strip extended precision"].startswith("ConvergenceError: ")
+    assert details["kac truncation-doubled"].startswith("ConvergenceError: ")
+    assert details["reduction walk vs shift equation"].startswith("ValueError: ")
 
 
 def test_product_oracle_runs_with_complex_modulus(capsys):
@@ -170,6 +199,24 @@ def test_csv_headers_are_stable(capsys):
         capsys, "eval", "--what", "zeta", "--format", "csv"
     )
     assert out.splitlines()[0] == ",".join(EVAL_CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("suite", ["funceq", "theorem31-exact"])
+def test_verify_csv_carries_the_json_numbers(capsys, suite):
+    argv = ("verify", "--suite", suite, "--grid", "small", "--format")
+    _, out, _ = run(capsys, *argv, "json")
+    cases = json.loads(out)["cases"]
+    _, out, _ = run(capsys, *argv, "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(cases)
+    for row, case in zip(rows, cases):
+        assert row["label"] == case["label"]
+        cells = {k: case[k] for k in ("deviation", "tol", "err_estimate")}
+        for side in ("lhs", "rhs"):
+            for part in ("re", "im"):
+                cells[f"{side}_{part}"] = None if case[side] is None else case[side][part]
+        for column, x in cells.items():
+            assert row[column] == ("" if x is None else repr(float(x)))
 
 
 def test_out_file_duplicates_stdout(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Contour planning geometry and the integration engine's contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qdilog import suites
+from qdilog import contour, suites
 from qdilog.contour import (
     _FAN_CAP,
     ContourSpec,
@@ -169,6 +171,22 @@ def test_composition_contour_bumps_every_cluster_point():
     assert all(i.radius == pytest.approx(0.01) for i in c.indentations)
 
 
+@pytest.mark.parametrize("exponent, baseline", [(1, -0.2), (-1, -1.25)])
+def test_one_sided_gap_keeps_half_a_unit_off_the_fan(exponent, baseline):
+    # One factor puts pole fans on one side only (ascending from Im = A for
+    # a direct factor, descending from Im = A - Q for a reciprocal one), so
+    # the baseline sits 0.5 off the nearest pole.
+    spec = IntegrandSpec(Symbol.gb(gen("A") + gen("tau").scale(1j), exponent), "tau")
+    c = plan_contour(spec, {"A": 0.3}, M8)
+    assert c.baseline == pytest.approx(baseline, abs=1e-12)
+    assert math.isinf(c.gap_lo if exponent > 0 else c.gap_hi)
+
+
+def test_integrand_without_fans_keeps_the_real_axis():
+    c = plan_contour(IntegrandSpec(Symbol.one(), "tau"), {}, M8)
+    assert (c.baseline, c.gap_lo, c.gap_hi) == (0.0, -math.inf, math.inf)
+
+
 def test_pinched_gap_is_refused():
     with pytest.raises(ContourUnsupportedError):
         plan_contour(tau_binomial_integrand(), tb_bindings(1e-9, M8.Q / 6), M8)
@@ -233,6 +251,20 @@ def test_bumped_contour_integrates_without_tripping_pole_guard():
     res = integrate_contour(opint.spec(), rep_bindings(params, 0.1), M8, rel_tol=1e-8)
     assert np.isfinite(res.value.real) and np.isfinite(res.value.imag)
     assert res.err_estimate < 1e-6 * abs(res.value)
+
+
+def test_tail_probe_re_extends_a_short_cutoff(monkeypatch):
+    # A cutoff of 6 leaves the right tail above the probe's limit, so that
+    # side is stretched by 1.4 until the probe passes (twice); the value
+    # stays within the error estimate of the unpatched integral.
+    alpha = M8.Q / 6
+    bnd = tb_bindings(alpha, alpha)
+    spec = tau_binomial_integrand()
+    ref = integrate_contour(spec, bnd, M8, rel_tol=1e-8)
+    monkeypatch.setattr(contour, "_tail_cutoff", lambda *args: 6.0)
+    res = integrate_contour(spec, bnd, M8, rel_tol=1e-8)
+    assert res.truncation == pytest.approx((6.0, 6.0 * 1.4**2), rel=1e-15)
+    assert abs(res.value - ref.value) <= res.err_estimate
 
 
 def test_truncation_doubling_stays_within_budget():

@@ -653,3 +653,13 @@ def test_modulus_rejects_degenerate_b():
         as_modulus(0.0)
     with pytest.raises(ParameterDomainError):
         as_modulus(-0.5)
+
+
+@pytest.mark.parametrize(
+    "b", [0.001 + 0.001j, 0.01 + 0.01j, 1e150 + 1e140j, 1e200, 1e-200, 1e-170 + 1e-171j]
+)
+def test_modulus_whose_constants_leave_double_range_is_unsupported(b):
+    # exp(log zeta) overflows (the first two), zeta underflows to 0, b^2 or
+    # b^-2 overflows, or q_tilde is infinite and zeta NaN (the last).
+    with pytest.raises(UnsupportedParameterError, match="double range"):
+        as_modulus(b)

@@ -3,10 +3,9 @@
     python3 tools/suite_digest.py write OUT.json [--src DIR]
     python3 tools/suite_digest.py compare BEFORE.json AFTER.json
 
-`write` runs 38 suite reports, each in a fresh interpreter (the
-`--threads 1` it passes has no effect, since suites run their cases in
-order on one thread): every suite at `--grid default` and `--grid small`, at b = 0.8 and b = 0.6,
-and product-oracle (which needs Im b^2 > 0) at b = 0.6+0.1i.  It stores each
+`write` runs 38 suite reports, each in a fresh interpreter: every suite
+at `--grid default` and `--grid small`, at b = 0.8 and b = 0.6, and
+product-oracle (which needs Im b^2 > 0) at b = 0.6+0.1i.  It stores each
 JSON report without its wall-clock fields `timestamp` and `elapsed_seconds`,
 with its exit code.  It also stores `qdilog eval --what Gb --format csv` on
 the gb-table request inputs of benchmark seeds 1-3, one interpreter per
@@ -64,7 +63,7 @@ def report_runs():
         for b in moduli:
             for grid in ("default", "small"):
                 argv = ["verify", "--suite", suite, "--b", b, "--grid", grid,
-                        "--threads", "1", "--format", "json"]
+                        "--format", "json"]
                 yield f"{suite} b={b} grid={grid}", argv
 
 
