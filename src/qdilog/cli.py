@@ -19,7 +19,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .core import (
     EvalConfig,
@@ -30,18 +30,9 @@ from .core import (
     gb_eval_many,
     small_gb,
 )
-from .errors import (
-    ContourUnsupportedError,
-    ConvergenceError,
-    DegenerateParameterError,
-    ParameterDomainError,
-    PoleProximityError,
-    QdilogError,
-    StripDomainError,
-    UnsupportedParameterError,
-)
+from .errors import ConvergenceError, PoleProximityError, QdilogError
 from .reports import EvalReport, EvalRow, render
-from .suites import SUITES, run_suite
+from .suites import DEFAULT_ALPHA, DEFAULT_B, DEFAULT_SEED, SUITES, run_suite
 
 __all__ = ["RunConfig", "main", "parse_complex"]
 
@@ -91,34 +82,26 @@ def _text(v) -> str:
     return v
 
 
-# Every RunConfig option: (converter, allowed values or None, flag help).
-# Flag values and config-file values both go through _option_value.
-_OPTIONS = {
-    "b": (_complex, None, "modulus b (complex)"),
-    "alpha": (_real, None, None),
-    "tol": (_real, None, "suite tolerance"),
-    "rel_tol": (_real, None, "engine relative tolerance"),
-    "seed": (_integer, None, None),
-    "threads": (_integer, None, "accepted and recorded; has no effect"),
-    "format": (_text, ("json", "csv", "pretty"), None),
-    "out": (_text, None, None),
-    "grid": (_text, ("default", "small"), None),
-}
+def _option(default, convert, help_text=None, choices=None):
+    """A RunConfig field whose metadata holds its converter, allowed values
+    and flag help; flag and config-file values both go through _option_value."""
+    meta = {"convert": convert, "choices": choices, "help": help_text}
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    """Serializable bundle of every knob the CLI accepts."""
+    """Serializable bundle of every knob the CLI accepts, one flag per field."""
 
-    b: complex = 0.8
-    alpha: float = 0.5
-    tol: float | None = None
-    rel_tol: float | None = None
-    seed: int = 20260817
-    grid: str = "default"
-    format: str = "pretty"
-    threads: int | None = None
-    out: str | None = None
+    b: complex = _option(DEFAULT_B, _complex, "modulus b (complex)")
+    alpha: float = _option(DEFAULT_ALPHA, _real)
+    tol: float | None = _option(None, _real, "suite tolerance")
+    rel_tol: float | None = _option(None, _real, "engine relative tolerance")
+    seed: int = _option(DEFAULT_SEED, _integer)
+    threads: int | None = _option(None, _integer, "accepted and recorded; has no effect")
+    format: str = _option("pretty", _text, choices=("json", "csv", "pretty"))
+    out: str | None = _option(None, _text)
+    grid: str = _option("default", _text, choices=("default", "small"))
 
     def to_dict(self) -> dict:
         d = {}
@@ -149,16 +132,17 @@ class RunConfig:
             return RunConfig.from_dict(json.load(fh))
 
 
-_NULLABLE = {f.name for f in fields(RunConfig) if f.default is None}
+_OPTIONS = {f.name: f for f in fields(RunConfig)}
 
 
 def _option_value(name: str, v):
     """Convert and check one option value; ValueError if it is not allowed."""
-    if v is None and name in _NULLABLE:
+    option = _OPTIONS[name]
+    if v is None and option.default is None:
         return None
-    convert, choices, _ = _OPTIONS[name]
+    choices = option.metadata["choices"]
     try:
-        v = convert(v)
+        v = option.metadata["convert"](v)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
     if choices is not None and v not in choices:
@@ -181,9 +165,9 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_option(parser, name):
-        _, choices, help_text = _OPTIONS[name]
+        meta = _OPTIONS[name].metadata
         flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, default=None, choices=choices, help=help_text)
+        parser.add_argument(flag, default=None, choices=meta["choices"], help=meta["help"])
 
     common = argparse.ArgumentParser(add_help=False)
     for name in _OPTIONS:
@@ -323,18 +307,12 @@ def main(argv=None) -> int:
             report, code = _cmd_eval(args, cfg)
         else:
             report, code = _cmd_verify(args, cfg)
-    except (
-        UnsupportedParameterError,
-        ContourUnsupportedError,
-        DegenerateParameterError,
-        ParameterDomainError,
-        StripDomainError,
-    ) as exc:
-        print(f"unsupported configuration: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except QdilogError as exc:
+        print(f"unsupported configuration: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except (ValueError, KeyError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -621,11 +621,13 @@ def run_consistency(
     cfg = cfg or EvalConfig()
 
     def cases(m):
-        # zr lies right of the strip, so -n1, -n2 are the shift equation's
-        # nonnegative counts; at b = 0.8 and 0.6 the walk takes both kinds
-        # of step.  The first case that asks computes v0 and red, so a
-        # failed evaluation fails cases and not the layout.
-        z, zr = 0.3 * m.Q.real + 0.2j, 5.4 + 0.35j
+        # zr lies 3.5 large steps right of the band's middle, so -n1, -n2
+        # are the shift equation's nonnegative counts and, at every b != 1,
+        # the walk takes three large steps and at least one small one (at
+        # b = 0.8, zr = 5.4+0.35i).  The first case that asks computes v0
+        # and red, so a failed evaluation fails cases and not the layout.
+        z = 0.3 * m.Q.real + 0.2j
+        zr = 0.5 * m.Q.real + 3.5 * max(m.b.real, m.b_inv.real) + 0.35j
         v0 = cache(partial(gb_eval, z, m, cfg))
         red = cache(partial(strip_reduce, zr, m))
         strip = (

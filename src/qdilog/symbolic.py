@@ -201,43 +201,6 @@ GR_ZERO = GaussRat()
 GR_ONE = GaussRat(Fraction(1))
 GR_I = GaussRat(Fraction(0), Fraction(1))
 
-# Canonical generator order.  Any other name sorts after these, by name, so
-# a normal form never depends on which names a process met first.
-_GENERATORS = (
-    "unit",
-    "Q",
-    "u",
-    "alpha",
-    "bs",
-    "bt",
-    "bs1",
-    "bs2",
-    "bt1",
-    "bt2",
-    "btau",
-    "bp",
-    "bp1",
-    "bp2",
-    "A",
-    "B",
-    "C",
-    "D",
-    "beta",
-)
-
-
-class _Ranks(dict):
-    """Canonical rank of each generator name; unknown names rank after the
-    canonical generators, by name, and are not stored."""
-
-    def __missing__(self, name: str) -> tuple:
-        return (len(_GENERATORS), name)
-
-
-# Sort key of a generator name in the canonical order.
-_rank = _Ranks({name: (k, name) for k, name in enumerate(_GENERATORS)}).__getitem__
-
-
 def _lookup(bindings: Mapping[str, complex], name: str) -> complex:
     if name == "unit":
         return 1.0 + 0j
@@ -251,7 +214,7 @@ def _lookup(bindings: Mapping[str, complex], name: str) -> complex:
 class AffineForm:
     """Exact affine combination sum_k c_k * g_k + c0 of generators."""
 
-    terms: tuple  # ((name, GaussRat), ...) in generator order, no zeros
+    terms: tuple  # ((name, GaussRat), ...) sorted by name, no zeros
     const: GaussRat = GR_ZERO
 
     @staticmethod
@@ -267,12 +230,7 @@ class AffineForm:
                 acc[name] = acc[name] + c
             else:
                 acc[name] = c
-        cleaned = tuple(
-            sorted(
-                ((n, c) for n, c in acc.items() if not c.is_zero()),
-                key=lambda nc: _rank(nc[0]),
-            )
-        )
+        cleaned = tuple(sorted((n, c) for n, c in acc.items() if not c.is_zero()))
         return AffineForm(cleaned, const)
 
     def __add__(self, other) -> "AffineForm":
@@ -315,16 +273,11 @@ class AffineForm:
             total += complex(c) * _lookup(bindings, n)
         return total
 
-    # Symbol.make sorts and hashes the same forms over and over, so each
-    # form keeps its key and hash once computed (the fields are frozen).
-    def sort_key(self):
-        try:
-            return self._key
-        except AttributeError:
-            k = (tuple((_rank(n), c) for n, c in self.terms), self.const)
-            object.__setattr__(self, "_key", k)
-            return k
+    def sort_key(self) -> tuple:
+        return self.terms, self.const
 
+    # Symbol.make hashes the same forms over and over, so each form keeps
+    # its hash once computed (the fields are frozen).
     def __hash__(self) -> int:
         try:
             return self._hash
@@ -381,25 +334,20 @@ class GaussExponent:
     exponentials they represent.
     """
 
-    terms: tuple  # (((name1, name2), GaussRat), ...) canonical
+    terms: tuple  # (((name1, name2), GaussRat), ...), name1 <= name2, sorted
 
     @staticmethod
     def make(entries: Iterable[tuple]) -> "GaussExponent":
         acc: dict[tuple, GaussRat] = {}
         for (a, b), c in entries:
-            key = (a, b) if _rank(a) <= _rank(b) else (b, a)
+            key = (a, b) if a <= b else (b, a)
             if c.__class__ is not GaussRat:
                 c = GaussRat.of(c)
             if key in acc:
                 acc[key] = acc[key] + c
             else:
                 acc[key] = c
-        cleaned = tuple(
-            sorted(
-                ((p, c) for p, c in acc.items() if not c.is_zero()),
-                key=lambda pc: (_rank(pc[0][0]), _rank(pc[0][1])),
-            )
-        )
+        cleaned = tuple(sorted((p, c) for p, c in acc.items() if not c.is_zero()))
         return GaussExponent(cleaned)
 
     @staticmethod
@@ -424,11 +372,9 @@ class GaussExponent:
         return GaussExponent(tuple((p, k * c) for p, k in self.terms))
 
     def coeff(self, name1: str, name2: str) -> GaussRat:
-        a, b = name1, name2
-        if _rank(a) > _rank(b):
-            a, b = b, a
+        p0 = (name1, name2) if name1 <= name2 else (name2, name1)
         for p, c in self.terms:
-            if p == (a, b):
+            if p == p0:
                 return c
         return GR_ZERO
 
@@ -624,9 +570,7 @@ def symbol_equal_exact(a: Symbol, b: Symbol) -> tuple:
     """
     gauss_diff = []
     pairs = {p for p, _ in a.gauss.terms} | {p for p, _ in b.gauss.terms}
-    for p in sorted(
-        pairs, key=lambda pr: (_rank(pr[0]), _rank(pr[1]))
-    ):
+    for p in sorted(pairs):
         ca, cb = a.gauss.coeff(*p), b.gauss.coeff(*p)
         if ca != cb:
             gauss_diff.append((p, ca, cb))

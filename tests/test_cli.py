@@ -22,8 +22,8 @@ from qdilog.cli import (
     parse_complex,
 )
 from qdilog import cli, core, suites
-from qdilog.core import EvalConfig, as_modulus, gb_eval, small_gb
-from qdilog.errors import ConvergenceError
+from qdilog.core import EvalConfig, as_modulus, gb_eval, small_gb, strip_reduce
+from qdilog.errors import ConvergenceError, PoleProximityError
 from qdilog.reports import EVAL_CSV_COLUMNS, VERIFY_CSV_COLUMNS
 
 
@@ -97,9 +97,22 @@ def test_modulus_out_of_double_range_is_unsupported(capsys):
     assert "double range" in err
 
 
+def test_uncaught_package_error_is_unsupported(monkeypatch, capsys):
+    # Any QdilogError but ConvergenceError that leaves a command exits 2.
+    def raise_pole(*args, **kwargs):
+        raise PoleProximityError(0.3, 0.0, 1e-13)
+
+    monkeypatch.setattr(cli, "run_suite", raise_pole)
+    code, out, err = run(capsys, "verify", "--suite", "funceq")
+    assert code == EXIT_UNSUPPORTED
+    assert out == ""
+    assert err.startswith("unsupported configuration: evaluation point")
+
+
 def test_consistency_reports_a_failed_strip_evaluation(capsys):
-    # At b = 0.04 the strip sum does not converge and zr = 5.4 lies left of
-    # the band: every case fails on its own, and the report still prints.
+    # At b = 0.04 the strip sum does not converge: every case that needs it
+    # fails on its own, and the report still prints.  The reduction case
+    # needs no strip sum and passes.
     code, out, _ = run(
         capsys, "verify", "--suite", "consistency", "--b", "0.04", "--grid", "small",
         "--format", "json",
@@ -107,11 +120,26 @@ def test_consistency_reports_a_failed_strip_evaluation(capsys):
     assert code == EXIT_NUMERIC
     cases = json.loads(out)["cases"]
     assert len(cases) == 11
-    assert all(c["flags"] == ["error"] for c in cases)
     details = {c["label"]: c["detail"] for c in cases}
+    assert details.pop("reduction walk vs shift equation") == ""
+    assert [c["flags"] for c in cases].count(["error"]) == 10
     assert details["strip extended precision"].startswith("ConvergenceError: ")
     assert details["kac truncation-doubled"].startswith("ConvergenceError: ")
-    assert details["reduction walk vs shift equation"].startswith("ValueError: ")
+
+
+@pytest.mark.parametrize("b", [0.3, 0.1, 0.04])
+def test_consistency_reduction_walk_takes_both_kinds_of_step(capsys, b):
+    # For b < 1, three 1/b-steps and at least one b-step.
+    _, out, _ = run(
+        capsys, "verify", "--suite", "consistency", "--b", str(b), "--grid", "small",
+        "--format", "json",
+    )
+    case = next(c for c in json.loads(out)["cases"]
+                if c["label"] == "reduction walk vs shift equation")
+    assert case["passed"]
+    zr = complex(case["inputs"]["z"]["re"], case["inputs"]["z"]["im"])
+    red = strip_reduce(zr, as_modulus(b))
+    assert red.n2 == -3 and red.n1 <= -1
 
 
 def test_product_oracle_runs_with_complex_modulus(capsys):

@@ -9,6 +9,7 @@ from qdilog import contour, suites
 from qdilog.contour import (
     _FAN_CAP,
     ContourSpec,
+    Indentation,
     IntegrationResult,
     _pole_set,
     integrate_contour,
@@ -16,7 +17,7 @@ from qdilog.contour import (
     pole_sequences,
 )
 from qdilog.core import as_modulus
-from qdilog.errors import ContourUnsupportedError
+from qdilog.errors import ContourUnsupportedError, DegenerateParameterError
 from qdilog.identities import six_nine_integrand, tau_binomial_integrand
 from qdilog.operators import (
     kac_rhs_integral,
@@ -208,6 +209,40 @@ def test_handed_in_contour_on_a_pole_is_refused():
         )
 
 
+@pytest.mark.parametrize(
+    "slope, b, match",
+    [(1, 0.8, "parallel"), (GaussRat(10, 1), 0.8 + 0.3j, "opposite vertical directions")],
+)
+def test_unclassifiable_pole_ladder_is_refused(slope, b, match):
+    # Slope 1 at real b puts both ladder steps on the real axis; slope 10+i
+    # at b = 0.8+0.3i sends the b-step up and the 1/b-step down.
+    spec = IntegrandSpec(Symbol.gb(gen("tau").scale(slope)), "tau")
+    with pytest.raises(DegenerateParameterError, match=match):
+        plan_contour(spec, {}, as_modulus(b))
+
+
+@pytest.mark.parametrize(
+    "factor, coeff, match",
+    [("tau", 1, "grows quadratically"), (1, 1j, "non-decaying")],
+)
+def test_tail_without_decay_is_refused(factor, coeff, match):
+    # e^{pi tau^2} and e^{pi i tau} along the real axis.
+    tau = gen("tau")
+    spec = IntegrandSpec(Symbol.from_gauss(gauss_from_products([(tau, factor, coeff)])), "tau")
+    with pytest.raises(ContourUnsupportedError, match=match):
+        integrate_contour(spec, {}, M8)
+
+
+def test_indentation_beyond_the_truncation_is_refused():
+    v = gen("v")
+    spec = IntegrandSpec(
+        Symbol.from_gauss(gauss_from_products([(v, v, GaussRat.of(-2))])), "v"
+    )
+    far = ContourSpec(0.0, (Indentation(50.0, 0.1, "above"),), truncation=5.0)
+    with pytest.raises(ContourUnsupportedError, match="indentation lies outside"):
+        integrate_contour(spec, {}, M8, contour=far)
+
+
 def test_pure_gaussian_needs_no_fans():
     v = gen("v")
     spec = IntegrandSpec(
@@ -253,17 +288,22 @@ def test_bumped_contour_integrates_without_tripping_pole_guard():
     assert res.err_estimate < 1e-6 * abs(res.value)
 
 
-def test_tail_probe_re_extends_a_short_cutoff(monkeypatch):
-    # A cutoff of 6 leaves the right tail above the probe's limit, so that
+@pytest.mark.parametrize("mirror, stretched", [(1, (6.0, 6.0 * 1.4**2)),
+                                               (-1, (6.0 * 1.4**2, 6.0))],
+                         ids=["right", "left"])
+def test_tail_probe_re_extends_a_short_cutoff(monkeypatch, mirror, stretched):
+    # A cutoff of 6 leaves one tail above the probe's limit (the right one,
+    # or the left one once btau -> -btau mirrors the integrand), so that
     # side is stretched by 1.4 until the probe passes (twice); the value
     # stays within the error estimate of the unpatched integral.
     alpha = M8.Q / 6
     bnd = tb_bindings(alpha, alpha)
-    spec = tau_binomial_integrand()
+    symbol = tau_binomial_integrand().symbol.substitute("btau", gen("btau").scale(mirror))
+    spec = IntegrandSpec(symbol, "btau")
     ref = integrate_contour(spec, bnd, M8, rel_tol=1e-8)
     monkeypatch.setattr(contour, "_tail_cutoff", lambda *args: 6.0)
     res = integrate_contour(spec, bnd, M8, rel_tol=1e-8)
-    assert res.truncation == pytest.approx((6.0, 6.0 * 1.4**2), rel=1e-15)
+    assert res.truncation == pytest.approx(stretched, rel=1e-15)
     assert abs(res.value - ref.value) <= res.err_estimate
 
 

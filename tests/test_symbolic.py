@@ -219,7 +219,7 @@ def test_affine_unit_pseudogenerator_folds_into_const():
     assert f.evaluate({"x": 2.0}) == pytest.approx(5.0)
 
 
-# Canonical generators, names ranked after them, and the constant 'unit'.
+# Generator names of either case, and the constant 'unit'.
 mixed_names = st.sampled_from(["unit", "Q", "u", "bs", "btau", "beta", "w", "x"])
 scales = st.one_of(
     st.sampled_from([GaussRat(), GaussRat.of(1), GaussRat.of(-1), GaussRat.of(1j)]),
@@ -227,10 +227,13 @@ scales = st.one_of(
 )
 
 
-def test_unknown_generators_rank_after_the_canonical_ones_by_name():
+def test_generators_sort_by_name():
     f = AffineForm.make([(n, GaussRat.of(1)) for n in ("zz", "beta", "aa", "unit", "Q")])
-    assert [n for n, _ in f.terms] == ["Q", "beta", "aa", "zz"]
+    assert [n for n, _ in f.terms] == ["Q", "aa", "beta", "zz"]
     assert f.const == GaussRat.of(1)
+    g = GaussExponent.make([(("u", "Q"), 1), (("beta", "beta"), 2), (("unit", "alpha"), 3)])
+    assert [p for p, _ in g.terms] == [("Q", "u"), ("alpha", "unit"), ("beta", "beta")]
+    assert g.coeff("u", "Q") == g.coeff("Q", "u") == GaussRat.of(1)
 
 
 @settings(derandomize=True, max_examples=80)

@@ -15,11 +15,13 @@ g_b) in one more interpreter per seed.
 script), so one copy of the script digests any checkout.
 
 `compare` prints one line per suite report: the pass state, the worst
-deviation on each side, its change in decades, and the largest relative
-change of any case's `lhs` or `rhs`; then the largest relative change of the
-eval values, once for G_b and once for g_b.  It exits 1 if the two digests
-differ in anything but numbers: exit codes, pass states, labels, case order,
-flags, or empty eval cells.
+deviation on each side, its change in decades, the smallest margin on each
+side, and the largest relative change of any case's `lhs` or `rhs`; then the
+largest relative change of the eval values, once for G_b and once for g_b.
+A case's margin is log10(tol / deviation), capped at 16 decades, the
+quantity whose minimum over a benchmark pass is its `accuracy_decades`.
+It exits 1 if the two digests differ in anything but numbers: exit codes,
+pass states, labels, case order, flags, or empty eval cells.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from checks import decades  # noqa: E402
 SUITES = ("reflection", "funceq", "product-oracle", "pole-limits", "tau-binomial",
           "six-nine", "theorem31-exact", "q-binomial", "kac", "consistency")
 EVAL_SEEDS = (1, 2, 3)
@@ -68,7 +72,6 @@ def report_runs():
 
 
 def eval_argvs(seed: int, what: str) -> list:
-    sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     requests = workloads.gb_table_inputs(seed)["requests"]
@@ -116,6 +119,13 @@ def _worst(cases) -> float | None:
     return max(devs) if devs else None
 
 
+def _margin(cases) -> float | None:
+    """Smallest margin over the cases that carry a deviation and a tol."""
+    margins = [decades(c["deviation"], c["tol"]) for c in cases
+               if c.get("deviation") is not None and c.get("tol")]
+    return min(margins) if margins else None
+
+
 def _shape(case) -> tuple:
     return case["label"], case["passed"], tuple(case["flags"])
 
@@ -143,7 +153,7 @@ def compare(before: dict, after: dict) -> int:
     if before["reports"].keys() != after["reports"].keys():
         mismatches.append("the digests hold different reports")
     print(f"{'report':<40} {'pass':>9} {'worst before':>13} {'worst after':>13} "
-          f"{'decades':>8} {'lhs/rhs rel':>11}")
+          f"{'decades':>8} {'margin before/after':>19} {'lhs/rhs rel':>11}")
     for key in sorted(before["reports"].keys() & after["reports"].keys()):
         a, b = before["reports"][key], after["reports"][key]
         ca, cb = a["report"]["cases"], b["report"]["cases"]
@@ -153,8 +163,10 @@ def compare(before: dict, after: dict) -> int:
                    for x, y in zip(ca, cb) for side in ("lhs", "rhs")), default=0.0)
         wa, wb = _worst(ca), _worst(cb)
         state = f"{a['report']['passed']}/{b['report']['passed']}"
+        margins = "/".join("-" if x is None else f"{x:.3f}"
+                           for x in (_margin(ca), _margin(cb)))
         print(f"{key:<40} {state:>9} {_sci(wa):>13} {_sci(wb):>13} "
-              f"{_decades(wa, wb):>8} {rel:>11.2e}")
+              f"{_decades(wa, wb):>8} {margins:>19} {rel:>11.2e}")
     for key, what in EVAL_KINDS:
         ea, eb = before.get(key, {}), after.get(key, {})
         eval_rel = 0.0
