@@ -20,10 +20,11 @@ with the shift equations (accumulating the exact product of shift factors),
 then sum the defining integral by the trapezoidal rule on the line
 Im t = c (Im z >= 0) or Im t = -c plus the residue at t = 0 (Im z < 0),
 c = pi min(Re b, Re 1/b), many reduced points to one batch.  The nodes of
-that sum lie on one arithmetic progression, so its exponentials factor:
-e^{z t_k} for the 16 nodes of a row is one exponential at the row's first
-node times a (points x 16) table of e^{z j h} shared by every row, and the
-rest of the sum is two small products (even and odd nodes) per block of rows.
+that sum lie on one arithmetic progression, so its exponentials are powers:
+e^{z t_k} for the 16 nodes of a row is the row's head times sigma^j,
+sigma = e^{z h}, whose 16 powers come from four exponentials per point; the
+row heads are walked outward from the origin by one step per row, and each
+block of rows is one small matrix product.
 Far from the real axis the integral is skipped entirely in favor of the
 asymptotic laws G_b -> 1/zeta_b (Im z -> +inf) and
 G_b -> zeta_b e^{pi i z(z-Q)} (Im z -> -inf).
@@ -367,36 +368,59 @@ _STRIP_CHUNK = 384
 # Nodes summed at once: a point near a strip edge needs about reach / (h Re z)
 # of them (86M at Re z = 1e-6), so they go in blocks to bound the memory.
 _NODE_BLOCK = 1024
-# Nodes per row of the factored sum (see _log_gb_strip_batch); even, and a
-# divisor of _NODE_BLOCK.
+# Nodes per row of the factored sum (see _log_gb_strip_batch): a divisor of
+# _NODE_BLOCK, and 16 because the row's powers sigma^j are products of
+# sigma^1, 2, 4 and 8 (_POW2).
 _ROW = 16
+_POW2 = np.array([[1.0], [2.0], [4.0], [8.0]])
+# Rows x points of one (_ROW x rows) by (rows x points) product, so that it
+# stays under 65,536 multiply-adds: from there OpenBLAS (0.3.31) threads a
+# complex product, and with OPENBLAS_NUM_THREADS unset a threaded product
+# can stall.  Uncut, a 384-point band batch took 8 ms instead of 0.3 ms in 1
+# of 8 processes on a 2-core box; cut, in none of 8, and no OpenBLAS worker
+# thread ran.
+_PRODUCT_CELLS = 65_535 // _ROW
+# The offset j in a row of each weight row that _row_weights stores: the even
+# j first, so that the first half of the sum is the step-2h sum.
+_PARITY = np.r_[0:_ROW:2, 1:_ROW:2]
 
 
 @functools.lru_cache(maxsize=32)
-def _row_weights(b, b_inv, Q, h, c, side, ctype, a0, n_rows):
-    """Read-only (first node t of each row, node weights) for rows a0.. of one line.
+def _row_weights(b, b_inv, Q, h, c, side, ctype, block):
+    """Read-only (walk, weights) of the rows of one block of one line.
 
+    Block B holds the _NODE_BLOCK // _ROW rows a from B times that count on,
+    so the origin is a block edge and each block lies on one side of it.
     Rows a < 0 lie left of the origin, where the weight of node t is
     h / (t (1 - e^{bt}) (1 - e^{t/b})).  Right of it the factors are
     rewritten over (1 - e^{-bt}) (1 - e^{-t/b}), so nothing overflows, and
-    the weights take the row's e^{-Q j h}.  The key holds every value the
-    weights come from, so a changed step or precision gets rows of its own;
-    one entry is at most _NODE_BLOCK weights (16 KB, 32 KB extended).
+    the weights take the row's e^{-Q j h}.  The weights form a (_ROW x rows)
+    matrix whose rows are the offsets j in _PARITY order and whose columns
+    are the block's rows from the origin outward, so the rows a batch needs
+    are a leading slice.  walk is the (2, 1) column of the first node of the
+    row nearest the origin and the row step away from it (-_ROW h left,
+    _ROW h right), so z' walk holds the exponents of a point's first row
+    head and of its step.  Blocks do not depend on the points, so every
+    batch on the same line shares them; the key holds every value they come
+    from, so a changed step or precision gets blocks of its own.  One entry
+    is _NODE_BLOCK weights (16 KB, 32 KB extended).
     """
     hh = ctype(h).real
-    jh = np.arange(_ROW) * hh
-    n_left = min(max(-a0, 0), n_rows)
-    k0 = a0 * _ROW
-    x = (np.arange(k0, k0 + n_rows * _ROW) + 0.25) * hh
-    t = x.reshape(-1, _ROW) + np.asarray(1j * side * c, dtype=ctype)
-    sign = np.ones((n_rows, 1))
-    sign[n_left:] = -1.0
+    n_rows = _NODE_BLOCK // _ROW
+    a = block * n_rows + np.arange(n_rows)
+    if block < 0:
+        a = a[::-1]
+    x = (a[:, None] * _ROW + _PARITY + 0.25) * hh
+    t = x + np.asarray(1j * side * c, dtype=ctype)
+    sign = 1.0 if block < 0 else -1.0
     w = h / (t * one_minus_exp(sign * b * t) * one_minus_exp(sign * b_inv * t))
-    w[n_left:] *= np.exp(-ctype(Q) * jh)
-    t0 = t[:, 0].copy()
-    t0.setflags(write=False)
+    if block >= 0:
+        w *= np.exp(-ctype(Q) * _PARITY * hh)
+    w = np.ascontiguousarray(w.T)
     w.setflags(write=False)
-    return t0, w
+    walk = np.array([[t[0, 0]], [_ROW * hh if block >= 0 else -_ROW * hh]], dtype=ctype)
+    walk.setflags(write=False)
+    return walk, w
 
 
 def _log_down(z: np.ndarray, m: ModulusParam) -> np.ndarray:
@@ -418,21 +442,37 @@ def _log_gb_strip_batch(
     grids.  The step-2h sum checks each point: err(T_h) ~ |T_h - T_2h|^2 <=
     0.5 rel_tol.
 
-    The exponentials factor.  The nodes go in rows of _ROW, aligned at
-    k = 0 mod _ROW so that no row straddles t = 0, and for k = a _ROW + j
+    The nodes lie on one progression, so the exponentials are powers.  The
+    nodes go in rows of _ROW, aligned at k = 0 mod _ROW so that no row
+    straddles t = 0, and for k = a _ROW + j
 
-        e^{z' t_k} = e^{z' t_{a _ROW}} * e^{z j h},
+        e^{z' t_k} = H_a * sigma^j,   sigma = e^{z h},
 
     with z' = z left of the origin and z - Q right of it, where the leftover
-    e^{-Q j h} joins the node weights.  One (points x _ROW) table of e^{z j h}
-    serves every row, and each row costs one exponential per point.  A block
-    of rows is then two small products, of the table's even and odd columns
-    with the matching weights, each followed by a sum along the rows: the
-    nodes of even k give T_2h, and both parities together T_h.
+    e^{-Q j h} joins the node weights.  The 16 powers sigma^j are products of
+    at most four of sigma^1, 2, 4, 8, each one exponential per point.  (Made
+    from sigma alone, sigma^j carries j times its rounding: over 300 lone
+    band points at four moduli the rms error against the same sum in
+    extended precision was 1.4-2.0 times that of one exponential per node,
+    against 0.8-1.5 times with the four.)  The rows go in blocks of
+    _NODE_BLOCK nodes with the origin at a block edge, and the row heads of
+    a block are walked outward from its row nearest the origin: one
+    exponential per point there, and one for the step, e^{-z _ROW h} to the
+    left and e^{(z - Q) _ROW h} to the right, so the largest terms, those
+    near t = 0, carry the fewest roundings.  (The right step taken as
+    sigma^16 e^{-Q _ROW h} loses the cancellation in z - Q near the right
+    edge: at Re z = Re Q - 1e-3, b = 0.6+0.1i, the error against the sum in
+    extended precision rose from 5e-16 to 9e-15.)  A block is then one
+    product of its (_ROW x rows) weights with its (rows x points) heads, cut
+    into products of at most _PRODUCT_CELLS rows x points; after the last
+    block the sums are multiplied by the powers, and the first half (even k)
+    gives T_2h, both halves T_h.
 
-    The weights depend on the points only through the node range, so a
-    block's weights come from _row_weights, memoised across calls; this
-    copy of them has the nodes outside [k_lo, k_hi) set to zero.
+    The weights do not depend on the points, so each block's come from
+    _row_weights, memoised across calls and shared by every batch on the
+    same line.  A batch uses a leading slice of its blocks' rows; the rows
+    holding k_lo and k_hi - 1 are copied with the nodes outside
+    [k_lo, k_hi) set to zero.
     """
     tail_target = cfg.rel_tol * 10.0 ** (-cfg.trunc_margin)
     # log_gb_strip has checked that both distances are positive.
@@ -445,41 +485,66 @@ def _log_gb_strip_batch(
     k_hi = math.ceil(reach / lam_right / h)
     ctype = np.clongdouble if cfg.precision == "extended" else np.complex128
     target = math.sqrt(0.5 * cfg.rel_tol)
-    jh = np.arange(_ROW) * ctype(h).real
+    hh = ctype(h).real
+    half = _ROW // 2
     rows_per_block = _NODE_BLOCK // _ROW
     a_lo, a_hi = k_lo // _ROW, -(-k_hi // _ROW)
     out = np.empty(len(z0s), dtype=complex)
-    for rows, side in ((z0s.imag >= 0, 1.0), (z0s.imag < 0, -1.0)):
-        if not rows.any():
-            continue
+    up = z0s.imag >= 0
+    for rows, side in ((up, 1.0), (~up, -1.0)):
         z = np.asarray(z0s[rows], dtype=ctype)
-        step = np.exp(np.outer(z, jh))
-        # Sums over the nodes of even k and of odd k, which are the even and
-        # the odd j of each row.
-        sums = np.zeros((2, len(z)), dtype=ctype)
-        for a0 in range(a_lo, a_hi, rows_per_block):
-            n_rows = min(rows_per_block, a_hi - a0)
-            n_left = min(max(-a0, 0), n_rows)  # rows a < 0 come first
-            k0 = a0 * _ROW
-            t0, w = _row_weights(m.b, m.b_inv, m.Q, h, c, side, ctype, a0, n_rows)
-            # The first and last rows may reach past [k_lo, k_hi).
-            w = w.copy()
-            nodes = w.reshape(-1)
-            nodes[: max(k_lo - k0, 0)] = 0.0
-            nodes[max(k_hi - k0, 0) :] = 0.0
-            head = np.empty((len(z), n_rows), dtype=ctype)
-            head[:, :n_left] = np.outer(z, t0[:n_left])
-            head[:, n_left:] = np.outer(z - m.Q, t0[n_left:])
-            np.exp(head, out=head)
-            # einsum, not `@`: with OpenBLAS free to thread on two cores, `@`
-            # made a 384-point batch 2.5-5 times slower while the other core
-            # was busy (16 ms against 0.6 ms in one run).  einsum's own loop
-            # does not depend on the thread setting.
-            for j0 in (0, 1):
-                prod = np.einsum("pj,aj->pa", step[:, j0::2], w[:, j0::2])
-                sums[j0] += np.einsum("pa,pa->p", head, prod)
-        t_2h, t_h = sums[0], sums[0] + sums[1]
-        gap = np.abs(t_h - 2.0 * t_2h)
+        n = len(z)
+        if not n:
+            continue
+        # power[i] = sigma^j for j = _PARITY[i], each a product of at most
+        # four of bits = sigma^1, 2, 4, 8: even[i] = sigma^{2i}, then the
+        # odd j as sigma times those.
+        bits = np.exp((z * hh) * _POW2)
+        power = np.empty((_ROW, n), dtype=ctype)
+        even = power[:half]
+        even[0] = 1.0
+        even[1:3] = bits[1:3]
+        np.multiply(bits[1], bits[2], out=even[3])
+        np.multiply(even[:4], bits[3], out=even[4:])
+        np.multiply(even, bits[0], out=power[half:])
+        z_right = z - m.Q
+        acc = np.zeros((_ROW, n), dtype=ctype)
+        for block in range(a_lo // rows_per_block, (a_hi - 1) // rows_per_block + 1):
+            walk, w = _row_weights(m.b, m.b_inv, m.Q, h, c, side, ctype, block)
+            # Rows used, counted from the origin outward; the last of them
+            # is row a_lo (left) or a_hi - 1 (right) when the block holds it.
+            if block >= 0:
+                edge = min(a_hi, (block + 1) * rows_per_block) - 1
+                used = edge - block * rows_per_block + 1
+            else:
+                edge = max(a_lo, block * rows_per_block)
+                used = (block + 1) * rows_per_block - edge
+            # Row heads: one exponential at the row nearest the origin, then
+            # a step per row outward.
+            head = np.empty((max(used, 2), n), dtype=ctype)
+            np.exp((z_right if block >= 0 else z) * walk, out=head[:2])
+            head[2:] = head[1]
+            head = np.multiply.accumulate(head[:used], axis=0, out=head[:used])
+            w = w[:, :used]
+            # Row a_lo and row a_hi - 1 may reach past [k_lo, k_hi): zero the
+            # weights of their offsets j < lo or j >= hi, in both halves.
+            if edge == a_lo:
+                lo = k_lo - a_lo * _ROW
+                w = w.copy()
+                w[: (lo + 1) // 2, -1] = 0.0
+                w[half : half + lo // 2, -1] = 0.0
+            elif edge == a_hi - 1:
+                hi = k_hi - edge * _ROW
+                w = w.copy()
+                w[(hi + 1) // 2 : half, -1] = 0.0
+                w[half + hi // 2 :, -1] = 0.0
+            cols = _PRODUCT_CELLS // used
+            for p in range(0, n, cols):
+                acc[:, p : p + cols] += w @ head[:, p : p + cols]
+        acc *= power
+        sums = np.add.reduce(acc.reshape(2, half, n), axis=1)
+        t_h = sums[0] + sums[1]
+        gap = np.abs(sums[1] - sums[0])  # |T_h - T_2h|
         if not (gap <= target).all():
             worst = int(np.argmax(gap))  # a NaN gap is taken first
             raise ConvergenceError(
@@ -490,7 +555,7 @@ def _log_gb_strip_batch(
                 f"|T_h - T_2h| = {float(gap[worst]):.3e} (target {target:.3e})",
             )
         base = -m.log_zeta if side > 0 else _log_down(z0s[rows], m)
-        out[rows] = base - t_h.astype(complex)
+        out[rows] = base - t_h.astype(complex, copy=False)
     return out
 
 

@@ -1,7 +1,9 @@
 """Direct evaluation of G_b: reflection, shifts, limits, cross-routes."""
 
 import cmath
+import json
 import math
+import pathlib
 import time
 import tracemalloc
 import warnings
@@ -483,9 +485,29 @@ def test_factored_strip_sum_matches_direct_sum(b):
     for zs in batches:
         got = core._log_gb_strip_batch(zs, m, cfg)
         assert np.max(np.abs(got - _direct_strip_sum(zs, m, cfg))) < 1e-14
+    # In extended precision too, on the band batch and on the batch whose
+    # row heads restart at each of its blocks.
     ext = EvalConfig(precision="extended")
-    got = core._log_gb_strip_batch(batches[2], m, ext)
-    assert np.max(np.abs(got - _direct_strip_sum(batches[2], m, ext))) < 1e-14
+    for zs in (batches[2], batches[-1]):
+        got = core._log_gb_strip_batch(zs, m, ext)
+        assert np.max(np.abs(got - _direct_strip_sum(zs, m, ext))) < 1e-14
+
+
+def test_strip_sum_matches_the_product_truth_table():
+    # log G_b at b = 0.6+0.1i from the double product in mpmath at 30 digits
+    # (tools/golden_strip.py): band points in both half-planes and four near
+    # the strip edges, summed as one batch and one by one.  The table's logs
+    # are principal, so the difference is taken mod 2 pi i.
+    path = pathlib.Path(__file__).parent / "data" / "strip_log_gb_b0.6+0.1i.json"
+    table = json.loads(path.read_text())
+    rows = np.array(table["points"])
+    b = complex(*table["b"])
+    zs, ref = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+    lone = np.array([core.log_gb_strip([z], b)[0] for z in zs])
+    for got in (core.log_gb_strip(zs, b), lone):
+        d = got - ref
+        d.imag = np.remainder(d.imag + math.pi, 2.0 * math.pi) - math.pi
+        assert np.max(np.abs(d)) <= 1e-14
 
 
 @pytest.mark.parametrize("precision", ["standard", "extended"])
