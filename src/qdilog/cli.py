@@ -32,7 +32,7 @@ from .core import (
 )
 from .errors import ConvergenceError, PoleProximityError, QdilogError
 from .reports import EvalReport, EvalRow, render
-from .suites import DEFAULT_ALPHA, DEFAULT_B, DEFAULT_SEED, SUITES, run_suite
+from .suites import DEFAULT_B, SUITES, run_suite
 
 __all__ = ["RunConfig", "main", "parse_complex"]
 
@@ -94,10 +94,10 @@ class RunConfig:
     """Serializable bundle of every knob the CLI accepts, one flag per field."""
 
     b: complex = _option(DEFAULT_B, _complex, "modulus b (complex)")
-    alpha: float = _option(DEFAULT_ALPHA, _real)
+    alpha: float | None = _option(None, _real, "default: the suite's own")
     tol: float | None = _option(None, _real, "suite tolerance")
     rel_tol: float | None = _option(None, _real, "engine relative tolerance")
-    seed: int = _option(DEFAULT_SEED, _integer)
+    seed: int | None = _option(None, _integer, "default: the suite's own")
     threads: int | None = _option(None, _integer, "accepted and recorded; has no effect")
     format: str = _option("pretty", _text, choices=("json", "csv", "pretty"))
     out: str | None = _option(None, _text)
@@ -286,7 +286,6 @@ def _cmd_verify(args, cfg: RunConfig) -> tuple:
         cfg=_eval_config(cfg),
     )
     report.config = {**report.config, **cfg.report_dict()}
-    report.seed = cfg.seed if report.seed is None else report.seed
     return report, (EXIT_PASS if report.passed else EXIT_NUMERIC)
 
 

@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import EvalConfig, as_modulus
-from .errors import ContourUnsupportedError, DegenerateParameterError
+from .errors import ContourUnsupportedError, ConvergenceError, DegenerateParameterError
 from .quadrature import Arc, Line, integrate_batch
 from .symbolic import IntegrandSpec
 
@@ -451,7 +451,8 @@ def integrate_contour(
     integrand, checked afterwards by probing the actual tail values; the
     contour is re-extended (up to three times) if the probe disagrees.
     Raises ContourUnsupportedError when no admissible contour exists and
-    ConvergenceError when the quadrature cannot reach the target.
+    ConvergenceError when the quadrature cannot reach the target or the
+    tail probe still disagrees after the third stretch.
     """
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
@@ -486,12 +487,21 @@ def integrate_contour(
     n_extra_evals = probe_x.size
 
     tail_lim = 10.0 * tail_rel * m0
-    for attempt in range(4):
+    for stretches in range(4):
         tails = np.array([-t_left + 1j * y0, t_right + 1j * y0])
         tail_vals = np.abs(f(tails))
         n_extra_evals += 2
-        if attempt == 3 or contour.truncation > 0 or tail_vals.max() <= tail_lim:
+        if contour.truncation > 0 or tail_vals.max() <= tail_lim:
             break
+        if stretches == 3:
+            raise ConvergenceError(
+                value=None,
+                achieved_error=float(tail_vals.max()),
+                target=tail_lim,
+                message=f"contour tail {tail_vals.max():.3e} still above "
+                f"{tail_lim:.3e} at truncation ({t_left:.4g}, {t_right:.4g}) "
+                "after three stretches",
+            )
         if tail_vals[0] > tail_lim:
             t_left *= 1.4
         if tail_vals[1] > tail_lim:

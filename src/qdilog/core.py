@@ -396,11 +396,11 @@ def _row_weights(b, b_inv, Q, h, c, side, ctype, block):
     rewritten over (1 - e^{-bt}) (1 - e^{-t/b}), so nothing overflows, and
     the weights take the row's e^{-Q j h}.  The weights form a (_ROW x rows)
     matrix whose rows are the offsets j in _PARITY order and whose columns
-    are the block's rows from the origin outward, so the rows a batch needs
-    are a leading slice.  walk is the (2, 1) column of the first node of the
-    row nearest the origin and the row step away from it (-_ROW h left,
-    _ROW h right), so z' walk holds the exponents of a point's first row
-    head and of its step.  Blocks do not depend on the points, so every
+    are the block's rows from the origin outward, so the whole rows a batch
+    sums are a leading slice.  walk is the (2, 1) column of the first node
+    of the row nearest the origin and the row step away from it (-_ROW h
+    left, _ROW h right), so z' walk holds the exponents of a point's first
+    row head and of its step.  Blocks do not depend on the points, so every
     batch on the same line shares them; the key holds every value they come
     from, so a changed step or precision gets blocks of its own.  One entry
     is _NODE_BLOCK weights (16 KB, 32 KB extended).
@@ -470,9 +470,9 @@ def _log_gb_strip_batch(
 
     The weights do not depend on the points, so each block's come from
     _row_weights, memoised across calls and shared by every batch on the
-    same line.  A batch uses a leading slice of its blocks' rows; the rows
-    holding k_lo and k_hi - 1 are copied with the nodes outside
-    [k_lo, k_hi) set to zero.
+    same line.  A batch sums whole rows, a leading slice of each block's:
+    the nodes the edge rows add past the reach cutoff lie below the tail
+    target and change a value in its last bits at most.
     """
     tail_target = cfg.rel_tol * 10.0 ** (-cfg.trunc_margin)
     # log_gb_strip has checked that both distances are positive.
@@ -481,14 +481,15 @@ def _log_gb_strip_batch(
     reach = -math.log(tail_target) + 4.0
     c = math.pi * m.min_re_step
     h = 2.0 * math.pi * _TRAP_DEPTH * c / math.log(1e3 / tail_target)
-    k_lo = math.floor(-reach / lam_left / h)
-    k_hi = math.ceil(reach / lam_right / h)
+    # Rows a_lo <= a < a_hi hold every node k with -reach / lam_left <= k h
+    # < reach / lam_right; _ROW is a power of two, so dividing by it is exact.
+    a_lo = math.floor(-reach / lam_left / h / _ROW)
+    a_hi = math.ceil(reach / lam_right / h / _ROW)
     ctype = np.clongdouble if cfg.precision == "extended" else np.complex128
     target = math.sqrt(0.5 * cfg.rel_tol)
     hh = ctype(h).real
     half = _ROW // 2
     rows_per_block = _NODE_BLOCK // _ROW
-    a_lo, a_hi = k_lo // _ROW, -(-k_hi // _ROW)
     out = np.empty(len(z0s), dtype=complex)
     up = z0s.imag >= 0
     for rows, side in ((up, 1.0), (~up, -1.0)):
@@ -511,14 +512,10 @@ def _log_gb_strip_batch(
         acc = np.zeros((_ROW, n), dtype=ctype)
         for block in range(a_lo // rows_per_block, (a_hi - 1) // rows_per_block + 1):
             walk, w = _row_weights(m.b, m.b_inv, m.Q, h, c, side, ctype, block)
-            # Rows used, counted from the origin outward; the last of them
-            # is row a_lo (left) or a_hi - 1 (right) when the block holds it.
-            if block >= 0:
-                edge = min(a_hi, (block + 1) * rows_per_block) - 1
-                used = edge - block * rows_per_block + 1
-            else:
-                edge = max(a_lo, block * rows_per_block)
-                used = (block + 1) * rows_per_block - edge
+            # How many of the block's rows lie in [a_lo, a_hi): its first
+            # ones from the origin outward.
+            start = block * rows_per_block
+            used = min(a_hi, start + rows_per_block) - max(a_lo, start)
             # Row heads: one exponential at the row nearest the origin, then
             # a step per row outward.
             head = np.empty((max(used, 2), n), dtype=ctype)
@@ -526,18 +523,6 @@ def _log_gb_strip_batch(
             head[2:] = head[1]
             head = np.multiply.accumulate(head[:used], axis=0, out=head[:used])
             w = w[:, :used]
-            # Row a_lo and row a_hi - 1 may reach past [k_lo, k_hi): zero the
-            # weights of their offsets j < lo or j >= hi, in both halves.
-            if edge == a_lo:
-                lo = k_lo - a_lo * _ROW
-                w = w.copy()
-                w[: (lo + 1) // 2, -1] = 0.0
-                w[half : half + lo // 2, -1] = 0.0
-            elif edge == a_hi - 1:
-                hi = k_hi - edge * _ROW
-                w = w.copy()
-                w[(hi + 1) // 2 : half, -1] = 0.0
-                w[half + hi // 2 :, -1] = 0.0
             cols = _PRODUCT_CELLS // used
             for p in range(0, n, cols):
                 acc[:, p : p + cols] += w @ head[:, p : p + cols]

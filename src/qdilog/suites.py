@@ -678,7 +678,6 @@ def run_consistency(
 class _Suite:
     run: Callable[..., SuiteReport]
     small: dict = field(default_factory=dict)  # arguments of the small grid
-    seeded: bool = False  # takes run_suite's seed
 
 
 _TABLE = {
@@ -687,8 +686,8 @@ _TABLE = {
     "product-oracle": _Suite(run_product_oracle, {"n": 6}),
     "pole-limits": _Suite(run_pole_limits),
     "tau-binomial": _Suite(run_tau_binomial, {"n": 2}),
-    "six-nine": _Suite(run_six_nine, {"n_random": 2}, seeded=True),
-    "theorem31-exact": _Suite(run_theorem31_exact, {"n": 3}, seeded=True),
+    "six-nine": _Suite(run_six_nine, {"n_random": 2}),
+    "theorem31-exact": _Suite(run_theorem31_exact, {"n": 3}),
     "q-binomial": _Suite(run_q_binomial),
     "kac": _Suite(run_kac, {"tuples": _KAC_TUPLES[0.8][:2]}),
     "consistency": _Suite(run_consistency),
@@ -714,7 +713,7 @@ def run_suite(
         "b": b,
         "alpha": alpha,
         "tol": tol,
-        "seed": seed if suite.seeded else None,
+        "seed": seed,
         "cfg": cfg,
     }
     kwargs = {k: v for k, v in given.items() if v is not None}

@@ -164,10 +164,6 @@ class GaussRat:
             return self._b * e < other._b * d
         return x < y
 
-    def sort_key(self) -> "GaussRat":
-        """The value itself: GaussRats compare exactly in (re, im) order."""
-        return self
-
     def __repr__(self) -> str:
         re, im = self.re, self.im
         if im == 0:

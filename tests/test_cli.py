@@ -454,18 +454,30 @@ def test_eval_request_matches_per_point_evaluation(capsys):
         assert row["flags"] == (["pole-proximity"] if p == good[2] else [])
 
 
+def test_alpha_and_seed_default_to_the_suites_own(capsys):
+    # No --alpha: kac runs each tuple at its own weight.
+    code, out, _ = run(capsys, "verify", "--suite", "kac", "--format", "json")
+    assert code == EXIT_PASS
+    assert "alpha=0.65" in json.loads(out)["cases"][4]["label"]
+    # No --seed: a suite that draws nothing reports none.
+    code, out, _ = run(capsys, "verify", "--suite", "reflection", "--format", "json")
+    assert code == EXIT_PASS
+    assert json.loads(out)["seed"] is None
+
+
 def test_rel_tol_reaches_the_evaluator(capsys):
     z = 0.5 + 0.2j
     code, out, _ = run(
         capsys, "eval", "--what", "Gb", "--points", "0.5+0.2i",
-        "--rel-tol", "1e-12", "--format", "csv",
+        "--rel-tol", "1e-8", "--format", "csv",
     )
     assert code == EXIT_PASS
     row = out.splitlines()[1].split(",")
     v = complex(float(row[3]), float(row[4]))
-    assert v == gb_eval(z, 0.8, EvalConfig(rel_tol=1e-12))
-    assert v != gb_eval(z, 0.8)  # the last bits tell the two tolerances apart
-    assert float(row[5]) == 1e-12 * abs(v)
+    assert v == gb_eval(z, 0.8, EvalConfig(rel_tol=1e-8))
+    # The two tolerances give sums 4e-14 relative apart.
+    assert abs(v - gb_eval(z, 0.8)) > 1e-14 * abs(v)
+    assert float(row[5]) == 1e-8 * abs(v)
 
 
 def test_verify_prints_pretty_by_default(capsys):

@@ -17,7 +17,7 @@ from qdilog.contour import (
     pole_sequences,
 )
 from qdilog.core import as_modulus
-from qdilog.errors import ContourUnsupportedError, DegenerateParameterError
+from qdilog.errors import ContourUnsupportedError, ConvergenceError, DegenerateParameterError
 from qdilog.identities import six_nine_integrand, tau_binomial_integrand
 from qdilog.operators import (
     kac_rhs_integral,
@@ -305,6 +305,18 @@ def test_tail_probe_re_extends_a_short_cutoff(monkeypatch, mirror, stretched):
     res = integrate_contour(spec, bnd, M8, rel_tol=1e-8)
     assert res.truncation == pytest.approx(stretched, rel=1e-15)
     assert abs(res.value - ref.value) <= res.err_estimate
+
+
+def test_tail_probe_raises_when_three_stretches_fall_short(monkeypatch):
+    # From a cutoff of 3, three stretches by 1.4 reach only 8.2 on the right,
+    # where the tail is still above the probe's limit: a truncated value
+    # would sit at the edge of its own error estimate, so the call raises.
+    alpha = M8.Q / 6
+    monkeypatch.setattr(contour, "_tail_cutoff", lambda *args: 3.0)
+    with pytest.raises(ConvergenceError, match="after three stretches"):
+        integrate_contour(
+            tau_binomial_integrand(), tb_bindings(alpha, alpha), M8, rel_tol=1e-8
+        )
 
 
 def test_truncation_doubling_stays_within_budget():

@@ -448,15 +448,17 @@ def test_extended_precision_agrees_with_standard():
 def _direct_strip_sum(z0s, m, cfg):
     """The strip sum as one (points x nodes) table of exponentials.
 
-    Same nodes, weights and node range as core._log_gb_strip_batch, without
-    its factoring: the reference for the factored sum.
+    Same nodes, weights and node range (whole rows of core._ROW nodes) as
+    core._log_gb_strip_batch, without its factoring: the reference for the
+    factored sum.
     """
     tail = cfg.rel_tol * 10.0 ** (-cfg.trunc_margin)
     reach = -math.log(tail) + 4.0
     c = math.pi * m.min_re_step
     h = 2.0 * math.pi * core._TRAP_DEPTH * c / math.log(1e3 / tail)
-    k_lo = math.floor(-reach / z0s.real.min() / h)
-    k = np.arange(k_lo, math.ceil(reach / (m.Q.real - z0s.real.max()) / h))
+    a_lo = math.floor(-reach / z0s.real.min() / h / core._ROW)
+    a_hi = math.ceil(reach / (m.Q.real - z0s.real.max()) / h / core._ROW)
+    k = np.arange(a_lo * core._ROW, a_hi * core._ROW)
     ctype = np.clongdouble if cfg.precision == "extended" else np.complex128
     out = np.empty(len(z0s), dtype=complex)
     for rows, side in ((z0s.imag >= 0, 1.0), (z0s.imag < 0, -1.0)):

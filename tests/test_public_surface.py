@@ -4,6 +4,7 @@ A change to any of these breaks callers and scripts, so it has to be made
 here on purpose, together with its reason in CHANGES.md.
 """
 
+import pathlib
 import re
 import types
 
@@ -62,3 +63,30 @@ def test_cli_long_flags(capsys, command):
 def test_exit_codes():
     codes = (cli.EXIT_PASS, cli.EXIT_NUMERIC, cli.EXIT_UNSUPPORTED, cli.EXIT_USAGE)
     assert codes == (0, 1, 2, 3)
+
+
+def _bindings(owners) -> dict:
+    return {(owner, name): value
+            for owner in owners for name, value in vars(owner).items()}
+
+
+def test_benchmark_tracer_installs_and_puts_every_name_back(monkeypatch):
+    # The benchmark's tracer (perfbench/tracing.py) rebinds names inside the
+    # package, such as identities.gb_eval_many; one renamed or deleted here
+    # makes its install fail.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "perfbench"))
+    import tracing
+
+    from qdilog import contour, core, identities, operators, suites, symbolic
+
+    owners = (qdilog, cli, contour, core, identities, operators, suites, symbolic,
+              symbolic.Symbol, symbolic.GaussExponent, symbolic.AffineForm)
+    before = _bindings(owners)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    after = _bindings(owners)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

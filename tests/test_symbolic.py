@@ -161,7 +161,7 @@ def test_gaussrat_sort_key_orders_as_fraction_pairs():
         )
     ]
     values = [GaussRat(re, im) for re, im in pairs]
-    order = sorted(range(len(values)), key=lambda k: values[k].sort_key())
+    order = sorted(range(len(values)), key=values.__getitem__)
     assert order == sorted(range(len(pairs)), key=lambda k: pairs[k])
 
 

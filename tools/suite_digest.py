@@ -15,9 +15,10 @@ g_b) in one more interpreter per seed.
 script), so one copy of the script digests any checkout.
 
 `compare` prints one line per suite report: the pass state, the worst
-deviation on each side, its change in decades, the smallest margin on each
-side, and the largest relative change of any case's `lhs` or `rhs`; then the
-largest relative change of the eval values, once for G_b and once for g_b.
+deviation on each side, its change in decades (`roundoff` where both lie
+below 1e-13), the smallest margin on each side, and the largest relative
+change of any case's `lhs` or `rhs`; then the largest relative change of
+the eval values, once for G_b and once for g_b.
 A case's margin is log10(tol / deviation), capped at 16 decades, the
 quantity whose minimum over a benchmark pass is its `accuracy_decades`.
 It exits 1 if the two digests differ in anything but numbers: exit codes,
@@ -45,6 +46,9 @@ EVAL_SEEDS = (1, 2, 3)
 # Digest key and `--what` of each kind of eval request.
 EVAL_KINDS = (("evals", "Gb"), ("gb_evals", "gb"))
 VOLATILE = ("timestamp", "elapsed_seconds")
+# Worst deviations both below this are roundoff, whose change in decades
+# says nothing about the change.
+ROUNDOFF = 1e-13
 
 _RUN_CLI = "import sys; from qdilog.cli import main; sys.exit(main(sys.argv[1:]))"
 _RUN_EVALS = """
@@ -137,6 +141,8 @@ def _sci(x) -> str:
 def _decades(before, after) -> str:
     if before is None or after is None:
         return "-"
+    if before < ROUNDOFF and after < ROUNDOFF:
+        return "roundoff"
     if before == after:
         return "+0.000"
     if before == 0.0 or after == 0.0:
