@@ -480,17 +480,18 @@ def integrate_contour(
     # on a pole is refused as unsupported rather than tripping the evaluator.
     _validate(misplaced, max(t_left, 1.0), max(t_right, 1.0))
     # Probe along the actual path: on the baseline this is Im = y0, inside a
-    # bump it rides the arc, which keeps probes off the enclosed poles.
+    # bump it rides the arc, which keeps probes off the enclosed poles.  The
+    # first tail check shares the probe's integrand call.
     probe_x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    m0 = float(np.max(np.abs(f(probe_x + 1j * _path_im(contour, probe_x)))))
-    m0 = max(m0, 1e-300)
-    n_extra_evals = probe_x.size
+    probes = probe_x + 1j * _path_im(contour, probe_x)
+    tails = np.array([-t_left + 1j * y0, t_right + 1j * y0])
+    vals = np.abs(f(np.concatenate([probes, tails])))
+    m0 = max(float(vals[:-2].max()), 1e-300)
+    tail_vals = vals[-2:]
+    n_extra_evals = vals.size
 
     tail_lim = 10.0 * tail_rel * m0
     for stretches in range(4):
-        tails = np.array([-t_left + 1j * y0, t_right + 1j * y0])
-        tail_vals = np.abs(f(tails))
-        n_extra_evals += 2
         if contour.truncation > 0 or tail_vals.max() <= tail_lim:
             break
         if stretches == 3:
@@ -507,6 +508,8 @@ def integrate_contour(
         if tail_vals[1] > tail_lim:
             t_right *= 1.4
         _validate(misplaced, t_left, t_right)
+        tail_vals = np.abs(f(np.array([-t_left + 1j * y0, t_right + 1j * y0])))
+        n_extra_evals += 2
 
     segments, panels = _build_segments(contour, t_left, t_right, coeffs)
     res = integrate_batch(

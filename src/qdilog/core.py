@@ -316,14 +316,27 @@ def strip_reduce(z: complex, m: ModulusParam) -> StripReduction:
     return StripReduction(z0=complex(z0[0]), n1=int(n1[0]), n2=int(n2[0]))
 
 
+def _run_products(base, first, length, s):
+    """Product of each run of shift factors: run i takes the steps first[i]
+    to first[i] + length[i] - 1 of the walk from base[i] by s."""
+    starts = length.cumsum() - length
+    j = np.arange(starts[-1] + length[-1]) - (starts - first).repeat(length)
+    f = one_minus_exp(2j * math.pi * s * (base.repeat(length) + j * s))
+    return np.multiply.reduceat(f, starts)
+
+
 def _shift_product(z0, n1, n2, m: ModulusParam):
     """C with G_b(z0 - n1 b - n2 / b) = C * G_b(z0), for arrays of walks.
 
     From z0 the walk takes its b-steps, then its 1/b-steps from where those
     end.  A step down by s onto w divides by 1 - e^{2 pi i s w}, a step up
     from w multiplies by it, so a leg of |n| steps takes the factors at
-    base + j s, j < |n|, from its lower end.  A block of (points x steps)
-    factors is formed at once and multiplied along the step axis.
+    base + j s, j < |n|, from its lower end.  A leg forms exactly those
+    factors, one flat run per point, and multiplies each run with one
+    reduceat.  Past _BLOCK factors in all, each walk is cut into pieces of
+    _BLOCK steps from its own start, whole pieces go in chunks of at most
+    _BLOCK factors, and a walk's piece products are multiplied in order:
+    no value depends on the other points of the call.
     Taking the 1/b-steps first would form the same factors, each being
     periodic under a step of the other kind (s s' = 1), so no second order
     can check the walk; the consistency suite compares it with the scalar
@@ -333,21 +346,34 @@ def _shift_product(z0, n1, n2, m: ModulusParam):
     c = np.ones(len(w), dtype=complex)
     for s, n in ((m.b, n1), (m.b_inv, n2)):
         n = np.asarray(n)
-        if not n.any():
+        live = n.nonzero()[0]
+        if not len(live):
             continue
-        base = w - np.maximum(n, 0) * s
-        steps = np.abs(n)
-        live = steps.nonzero()[0]
-        j0 = 0
-        while len(live):
-            width = int(min(steps[live].max() - j0, max(1, _BLOCK // len(live))))
-            j = j0 + np.arange(width)
-            f = one_minus_exp(2j * math.pi * s * (base[live, None] + j * s))
-            f[j >= steps[live, None]] = 1.0
-            p = f.prod(axis=1)
-            c[live] *= np.where(n[live] > 0, 1.0 / p, p)
-            j0 += width
-            live = live[steps[live] > j0]
+        n_live = n[live]
+        steps = np.abs(n_live)
+        base = w[live] - np.maximum(n_live, 0) * s
+        if steps.sum() <= _BLOCK:  # one chunk of whole walks
+            p = _run_products(base, 0, steps, s)
+        else:
+            cuts = (steps - 1) // _BLOCK + 1
+            heads = cuts.cumsum() - cuts
+            run = np.arange(len(live)).repeat(cuts)
+            first = (np.arange(len(run)) - heads.repeat(cuts)) * _BLOCK
+            length = np.minimum(steps[run] - first, _BLOCK)
+            ends = length.cumsum()
+            edges = [0]
+            while edges[-1] < len(run):
+                lo = edges[-1]
+                room = ends[lo] - length[lo] + _BLOCK
+                edges.append(int(np.searchsorted(ends, room, side="right")))
+            p = np.concatenate([
+                _run_products(base[run[lo:hi]], first[lo:hi], length[lo:hi], s)
+                for lo, hi in zip(edges, edges[1:])
+            ])
+            p = np.multiply.reduceat(p, heads)
+        # Not in place: numpy multiplies a one-element array in place with
+        # its reduction loop, whose last bit can differ from the array loop's.
+        c[live] = c[live] * np.where(n_live > 0, 1.0 / p, p)
         w = w - n * s
     return c
 

@@ -178,11 +178,13 @@ def run_reflection(
         xs = [req * (i + 0.5) / n for i in range(n)]
         ys = [-0.9 + 1.8 * j / max(n - 1, 1) for j in range(n)]
         zs = np.array([x + 1j * y for x in xs for y in ys])
-        g = gb_eval_many(np.concatenate([zs, m.Q - zs]), m, cfg)
+        # One batched call, made by the first case: a failed evaluation
+        # fails cases and not the layout.
+        g = cache(partial(gb_eval_many, np.concatenate([zs, m.Q - zs]), m, cfg))
 
         def check(k, z):
             rhs = np.exp(1j * math.pi * z * (z - m.Q))
-            return _compare(g[k] * g[len(zs) + k], rhs, tol)
+            return _compare(g()[k] * g()[len(zs) + k], rhs, tol)
 
         return [
             _Case(f"z={z:.6g}", {"z": complex(z)}, partial(check, k, z))
@@ -210,11 +212,11 @@ def run_funceq(
     def cases(m):
         z0s = [complex(f * m.Q.real, y) for f, y in _FUNCEQ_POINTS]
         shifted = [z + n1 * m.b + n2 * m.b_inv for z in z0s for n1, n2 in orders]
-        g = gb_eval_many(np.array(z0s + shifted), m, cfg)
+        g = cache(partial(gb_eval_many, np.array(z0s + shifted), m, cfg))
 
         def check(k, iz, n1, n2):
-            rhs = func_eq_general(z0s[iz], n1, n2, m) * g[iz]
-            return _compare(g[len(z0s) + k], rhs, tol)
+            rhs = func_eq_general(z0s[iz], n1, n2, m) * g()[iz]
+            return _compare(g()[len(z0s) + k], rhs, tol)
 
         grid = [(iz, z, n1, n2) for iz, z in enumerate(z0s) for n1, n2 in orders]
         return [
@@ -248,10 +250,10 @@ def run_product_oracle(
             )
         req = m.Q.real
         xs = np.array([req * (k + 0.5) / n for k in range(n)])
-        lhs = gb_eval_many(xs, m, cfg)
+        lhs = cache(partial(gb_eval_many, xs, m, cfg))
 
         def check(k, x):
-            return _compare(lhs[k], gb_product_oracle(complex(x), m), tol)
+            return _compare(lhs()[k], gb_product_oracle(complex(x), m), tol)
 
         return [
             _Case(f"x={x:.6g}", {"x": complex(x)}, partial(check, k, x))

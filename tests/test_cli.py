@@ -127,6 +127,26 @@ def test_consistency_reports_a_failed_strip_evaluation(capsys):
     assert details["kac truncation-doubled"].startswith("ConvergenceError: ")
 
 
+@pytest.mark.parametrize(
+    "suite, b, n_cases",
+    [("reflection", "0.05", 16), ("funceq", "0.05", 36),
+     ("product-oracle", "0.05+0.01i", 6)],
+)
+def test_batched_suites_report_a_failed_evaluation(capsys, suite, b, n_cases):
+    # At these b the strip sum does not converge: the one batched G_b call
+    # runs inside the cases, so each case fails on its own and the report
+    # still prints.
+    code, out, _ = run(
+        capsys, "verify", "--suite", suite, "--b", b, "--grid", "small",
+        "--format", "json",
+    )
+    assert code == EXIT_NUMERIC
+    cases = json.loads(out)["cases"]
+    assert len(cases) == n_cases
+    assert all(c["flags"] == ["error"] for c in cases)
+    assert all(c["detail"].startswith("ConvergenceError: ") for c in cases)
+
+
 @pytest.mark.parametrize("b", [0.3, 0.1, 0.04])
 def test_consistency_reduction_walk_takes_both_kinds_of_step(capsys, b):
     # For b < 1, three 1/b-steps and at least one b-step.

@@ -609,6 +609,36 @@ def test_shift_product_matches_scalar_shift_equation(b, block, monkeypatch):
         assert rel(got, want) < 1e-12
 
 
+@pytest.mark.parametrize("block", [core._BLOCK, 3])
+@pytest.mark.parametrize("b", [0.8, 0.6 + 0.1j, 1.3])
+def test_shift_product_forms_each_factor_once(b, block, monkeypatch):
+    # One factor per step a walk takes, however long the other walks of the
+    # call are, and each value as the walk alone gives it.  Block 3 cuts the
+    # long walks into pieces and the call into many chunks.  The long legs
+    # go the way whose factors stay near 1 at b = 0.6+0.1i (down by b, up
+    # by 1/b); the other way their product leaves double range.
+    monkeypatch.setattr(core, "_BLOCK", block)
+    m = as_modulus(b)
+    n1 = np.array([0, 1, -1, 2, -2, -40, -41, 0, 3, -39, 1, 0])
+    n2 = np.array([0, 0, 2, -1, 1, 2, 0, 42, 40, 1, -1, 1])
+    z0 = 0.5 * m.Q.real + np.linspace(-0.2, 0.2, len(n1)) + 0.3j
+    sizes = []
+    real = core.one_minus_exp
+
+    def counting(w):
+        sizes.append(np.size(w))
+        return real(w)
+
+    monkeypatch.setattr(core, "one_minus_exp", counting)
+    c = core._shift_product(z0, n1, n2, m)
+    assert sum(sizes) == np.abs(n1).sum() + np.abs(n2).sum()
+    assert max(sizes) <= block
+    assert np.isfinite(c).all()
+    alone = [core._shift_product(z0[i : i + 1], n1[i : i + 1], n2[i : i + 1], m)
+             for i in range(len(z0))]
+    assert c.tobytes() == np.concatenate(alone).tobytes()
+
+
 def test_far_point_raises_without_warnings():
     # The shift product of Re z = 1000 overflows; that must surface as the
     # typed error alone, with no numpy warning on the way.
