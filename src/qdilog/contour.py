@@ -16,6 +16,11 @@ gap edges and the cluster near the midline from one such set; integration
 validates its path, at every truncation, against another.  The vertical
 asymptotics of G_b fix the tail decay and the local oscillation rate used
 to size panels.
+
+integrate_contour_steps is the integration as a step generator: it binds
+the integrand to floats once, then yields one G_b request per integrand
+evaluation (the probe, each tail stretch, each Gauss-Kronrod round) and is
+sent the values.  integrate_contour runs it alone.
 """
 
 from __future__ import annotations
@@ -28,8 +33,12 @@ import numpy as np
 
 from .core import EvalConfig, as_modulus
 from .errors import ContourUnsupportedError, ConvergenceError, DegenerateParameterError
-from .quadrature import Arc, Line, integrate_batch
-from .symbolic import IntegrandSpec
+from .quadrature import Arc, Line, integrate_steps
+from .symbolic import BoundSymbol, IntegrandSpec, run_steps
+
+# Not called here: perfbench/tracing.py rebinds contour.integrate_batch by
+# name, so the name stays bound.
+from .quadrature import integrate_batch  # noqa: F401
 
 __all__ = [
     "PoleSeq",
@@ -40,6 +49,7 @@ __all__ = [
     "fan_points",
     "plan_contour",
     "integrate_contour",
+    "integrate_contour_steps",
 ]
 
 _DEFAULT_CFG = EvalConfig()
@@ -134,10 +144,14 @@ def pole_sequences(
     spec: IntegrandSpec, bindings: Mapping[str, complex], b
 ) -> tuple:
     """(pole fans, zero fans) of the integrand in the integration variable."""
-    m = as_modulus(b)
+    return _fans(_moving_factors(spec, bindings), as_modulus(b))
+
+
+def _fans(moving, m) -> tuple:
+    """pole_sequences from the (exponent, g, a0) of the moving factors."""
     poles: list[PoleSeq] = []
     zeros: list[PoleSeq] = []
-    for e, g, a0 in _moving_factors(spec, bindings):
+    for e, g, a0 in moving:
         at_pole_lattice = ((-a0) / g, (-m.b / g, -m.b_inv / g))
         at_zero_lattice = ((m.Q - a0) / g, (m.b / g, m.b_inv / g))
         if e > 0:
@@ -229,7 +243,11 @@ def plan_contour(
     is enclosed by a semicircle whose radius is a quarter of the smallest
     distance between the nearby poles.
     """
-    poles, zeros = pole_sequences(spec, bindings, b)
+    return _plan(*pole_sequences(spec, bindings, b))
+
+
+def _plan(poles, zeros) -> ContourSpec:
+    """plan_contour from the integrand's pole and zero fans."""
     base_ims = [s.base.imag for s in poles]
     pts, _, dirs = _pole_set(
         poles, zeros, min(base_ims, default=0.0) - _DEPTH,
@@ -304,15 +322,15 @@ def plan_contour(
 # Decay analysis, panel layout, integration
 
 
-def _direction_coeffs(spec: IntegrandSpec, bindings, m, d: int):
+def _direction_coeffs(bound: BoundSymbol, moving, d: int):
     """Leading coefficients (c2, c1) of the exponent for Re v -> d*inf.
 
     Factors whose argument heads to Im -> -inf on that side follow
     G_b(z) ~ zeta e^{i pi z (z - Q)} and contribute their quadratic phase;
     the rest tend to a constant.
     """
-    c2, c1, _ = spec.symbol.gauss.polynomial_in(spec.var, bindings)
-    for e, g, a0 in _moving_factors(spec, bindings):
+    c2, c1, m = bound.c2, bound.c1, bound.m
+    for e, g, a0 in moving:
         if g.imag * d < 0:
             c2 += e * 1j * g * g
             c1 += e * 1j * g * (2 * a0 - m.Q)
@@ -454,15 +472,32 @@ def integrate_contour(
     ConvergenceError when the quadrature cannot reach the target or the
     tail probe still disagrees after the third stretch.
     """
+    return run_steps(integrate_contour_steps(spec, bindings, b, contour, cfg, rel_tol))
+
+
+def integrate_contour_steps(
+    spec: IntegrandSpec,
+    bindings: Mapping[str, complex],
+    b,
+    contour: ContourSpec | None = None,
+    cfg: EvalConfig | None = None,
+    rel_tol: float | None = None,
+):
+    """Step form of integrate_contour: a generator that yields one G_b
+    request (points, modulus, config) per integrand evaluation, is sent the
+    values, and returns the IntegrationResult."""
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
     rel_tol = cfg.rel_tol if rel_tol is None else rel_tol
+    # The integrand's floats, computed once for the plan and every round.
+    bound = spec.symbol.bind(spec.var, bindings, m, cfg)
+    moving = [(e, g, a0) for e, g, a0 in bound.factors if g != 0]
+    poles, zeros = _fans(moving, m)
     if contour is None:
-        contour = plan_contour(spec, bindings, m)
-    poles, zeros = pole_sequences(spec, bindings, m)
+        contour = _plan(poles, zeros)
     y0 = contour.baseline
 
-    coeffs = {d: _direction_coeffs(spec, bindings, m, d) for d in (+1, -1)}
+    coeffs = {d: _direction_coeffs(bound, moving, d) for d in (+1, -1)}
 
     tail_rel = rel_tol * 10.0 ** (-cfg.trunc_margin)
     drop = -math.log(tail_rel) + 4.0
@@ -472,8 +507,7 @@ def integrate_contour(
         t_right = _tail_cutoff(*coeffs[+1], y0, +1, drop)
         t_left = _tail_cutoff(*coeffs[-1], y0, -1, drop)
 
-    def f(vs: np.ndarray) -> np.ndarray:
-        return spec.symbol.evaluate_on(spec.var, vs, bindings, m, cfg)
+    f = bound.steps
 
     misplaced = _misplaced_poles(contour, poles, zeros)
     # This window also covers the probes, so a handed-in contour that sits
@@ -485,7 +519,7 @@ def integrate_contour(
     probe_x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     probes = probe_x + 1j * _path_im(contour, probe_x)
     tails = np.array([-t_left + 1j * y0, t_right + 1j * y0])
-    vals = np.abs(f(np.concatenate([probes, tails])))
+    vals = np.abs((yield from f(np.concatenate([probes, tails]))))
     m0 = max(float(vals[:-2].max()), 1e-300)
     tail_vals = vals[-2:]
     n_extra_evals = vals.size
@@ -508,13 +542,23 @@ def integrate_contour(
         if tail_vals[1] > tail_lim:
             t_right *= 1.4
         _validate(misplaced, t_left, t_right)
-        tail_vals = np.abs(f(np.array([-t_left + 1j * y0, t_right + 1j * y0])))
+        tail_vals = np.abs(
+            (yield from f(np.array([-t_left + 1j * y0, t_right + 1j * y0])))
+        )
         n_extra_evals += 2
 
     segments, panels = _build_segments(contour, t_left, t_right, coeffs)
-    res = integrate_batch(
-        f, segments, panels, rel_tol=rel_tol, abs_floor=1e-3 * rel_tol * m0
+    quad = integrate_steps(
+        segments, panels, rel_tol=rel_tol, abs_floor=1e-3 * rel_tol * m0
     )
+    pts = next(quad)
+    while True:
+        vals = yield from f(pts)
+        try:
+            pts = quad.send(vals)
+        except StopIteration as stop:
+            res = stop.value
+            break
 
     tail_est = 0.0
     for d, tv, t_end in ((-1, tail_vals[0], t_left), (+1, tail_vals[1], t_right)):

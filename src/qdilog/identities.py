@@ -16,15 +16,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contour import integrate_contour
-from .core import EvalConfig, as_modulus, gb_eval_many
-from .symbolic import GaussRat, IntegrandSpec, Symbol, gauss_from_products, gen
+from .contour import integrate_contour_steps
+from .core import EvalConfig, as_modulus
+from .symbolic import (
+    GaussRat,
+    IntegrandSpec,
+    Symbol,
+    gauss_from_products,
+    gen,
+    run_steps,
+)
+
+# Not called here: perfbench/tracing.py rebinds both names in this module,
+# so they stay bound.
+from .contour import integrate_contour  # noqa: F401
+from .core import gb_eval_many  # noqa: F401
 
 __all__ = [
     "tau_binomial_integrand",
     "tau_binomial_check",
+    "tau_binomial_steps",
     "six_nine_integrand",
     "six_nine_check",
+    "six_nine_steps",
 ]
 
 _I = GaussRat.of(1j)
@@ -55,14 +69,25 @@ def tau_binomial_check(
     Absolute convergence needs Re beta > 0 and Re(alpha + beta) < Re Q;
     outside that wedge the engine refuses the contour rather than guessing.
     """
+    return run_steps(
+        tau_binomial_steps(tau_binomial_integrand(), alpha, beta, b, cfg, rel_tol)
+    )
+
+
+def tau_binomial_steps(
+    spec: IntegrandSpec,
+    alpha: complex,
+    beta: complex,
+    b,
+    cfg: EvalConfig | None = None,
+    rel_tol: float | None = None,
+):
+    """Step form of tau_binomial_check with its integrand given (see
+    BoundSymbol.steps): the integral's G_b requests, then the closed form's."""
     m = as_modulus(b)
     bindings = {"Q": m.Q, "alpha": complex(alpha), "beta": complex(beta)}
-    res = integrate_contour(
-        tau_binomial_integrand(), bindings, m, cfg=cfg, rel_tol=rel_tol
-    )
-    ga, gb_, gab = gb_eval_many(
-        np.array([alpha, beta, alpha + beta], dtype=complex), m, cfg
-    )
+    res = yield from integrate_contour_steps(spec, bindings, m, cfg=cfg, rel_tol=rel_tol)
+    ga, gb_, gab = yield np.array([alpha, beta, alpha + beta], dtype=complex), m, cfg
     return res.value, ga * gb_ / gab, res
 
 
@@ -95,6 +120,23 @@ def six_nine_check(
     rel_tol: float | None = None,
 ) -> tuple:
     """(engine value, six-over-three product of G values, IntegrationResult)."""
+    return run_steps(
+        six_nine_steps(six_nine_integrand(), a, b_arg, c, d, b, cfg, rel_tol)
+    )
+
+
+def six_nine_steps(
+    spec: IntegrandSpec,
+    a: complex,
+    b_arg: complex,
+    c: complex,
+    d: complex,
+    b,
+    cfg: EvalConfig | None = None,
+    rel_tol: float | None = None,
+):
+    """Step form of six_nine_check with its integrand given (see
+    BoundSymbol.steps): the integral's G_b requests, then the closed form's."""
     m = as_modulus(b)
     bindings = {
         "Q": m.Q,
@@ -103,11 +145,11 @@ def six_nine_check(
         "C": complex(c),
         "D": complex(d),
     }
-    res = integrate_contour(six_nine_integrand(), bindings, m, cfg=cfg, rel_tol=rel_tol)
+    res = yield from integrate_contour_steps(spec, bindings, m, cfg=cfg, rel_tol=rel_tol)
     args = np.array(
         [a, b_arg, c, a + d, b_arg + d, c + d, a + b_arg + d, a + c + d, b_arg + c + d],
         dtype=complex,
     )
-    g = gb_eval_many(args, m, cfg)
+    g = yield args, m, cfg
     rhs = (g[0] * g[1] * g[2] * g[3] * g[4] * g[5]) / (g[6] * g[7] * g[8])
     return res.value, rhs, res

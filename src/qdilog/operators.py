@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contour import integrate_contour
+from .contour import integrate_contour_steps
 from .core import EvalConfig, _near_lattice, as_modulus
 from .errors import DegenerateParameterError
 from .symbolic import (
@@ -46,7 +46,12 @@ from .symbolic import (
     const,
     gauss_from_products,
     gen,
+    run_steps,
 )
+
+# Not called here: perfbench/tracing.py rebinds it in this module, so the
+# name stays bound.
+from .contour import integrate_contour  # noqa: F401
 
 __all__ = [
     "ShiftOp",
@@ -74,6 +79,8 @@ __all__ = [
     "rep_bindings",
     "qbinomial_value",
     "kac_values",
+    "checked_rep_params",
+    "rep_law_steps",
 ]
 
 _I = GR_I
@@ -416,9 +423,23 @@ def make_rep_params(
     the pole and the zero lattice, otherwise the numeric comparison is
     meaningless.
     """
+    return checked_rep_params(
+        (kac_lhs().symbol, qbinomial_target()), b, alpha, s, t, u_samples
+    )
+
+
+def checked_rep_params(
+    static_syms,
+    b,
+    alpha: float = 0.5,
+    s: float = 0.3,
+    t: float = 0.2,
+    u_samples: tuple = (0.1, -0.23),
+) -> RepParams:
+    """make_rep_params with the symbols it checks given: static_syms holds
+    kac_lhs().symbol and qbinomial_target(), built once by the caller."""
     m = as_modulus(b)
     params = RepParams(b=complex(b), alpha=alpha, s=s, t=t, u_samples=tuple(u_samples))
-    static_syms = [kac_lhs().symbol, qbinomial_target()]
     for u_value in params.u_samples:
         bindings = rep_bindings(params, u_value)
         for sym in static_syms:
@@ -440,12 +461,10 @@ def qbinomial_value(
     swapped: bool = False,
 ) -> tuple:
     """(integral value, target, IntegrationResult) for the binomial expansion."""
-    m = as_modulus(params.b)
-    opint = qbinomial_integral(swapped=swapped)
-    bindings = rep_bindings(params, u_value)
-    res = integrate_contour(opint.spec(), bindings, m, cfg=cfg, rel_tol=rel_tol)
-    target = qbinomial_target().evaluate(bindings, m, cfg)
-    return res.value, target, res
+    spec = qbinomial_integral(swapped=swapped).spec()
+    return run_steps(
+        rep_law_steps(spec, qbinomial_target(), params, u_value, cfg, rel_tol)
+    )
 
 
 def kac_values(
@@ -455,10 +474,25 @@ def kac_values(
     rel_tol: float | None = None,
 ) -> tuple:
     """(integral value, product value, IntegrationResult) for the E o F law."""
+    spec = kac_rhs_integral().spec()
+    return run_steps(
+        rep_law_steps(spec, kac_lhs().symbol, params, u_value, cfg, rel_tol)
+    )
+
+
+def rep_law_steps(
+    spec: IntegrandSpec,
+    closed_form: Symbol,
+    params: RepParams,
+    u_value: complex,
+    cfg: EvalConfig | None = None,
+    rel_tol: float | None = None,
+):
+    """Step form of qbinomial_value and kac_values with the law's two sides
+    given (see BoundSymbol.steps): the integral's G_b requests, then the
+    closed form's.  Returns (integral value, closed form, IntegrationResult)."""
     m = as_modulus(params.b)
-    lhs = kac_lhs()
-    opint = kac_rhs_integral()
     bindings = rep_bindings(params, u_value)
-    res = integrate_contour(opint.spec(), bindings, m, cfg=cfg, rel_tol=rel_tol)
-    target = lhs.symbol.evaluate(bindings, m, cfg)
-    return res.value, target, res
+    res = yield from integrate_contour_steps(spec, bindings, m, cfg=cfg, rel_tol=rel_tol)
+    value = yield from closed_form.evaluate_steps(bindings, m, cfg)
+    return res.value, value, res

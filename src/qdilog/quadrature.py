@@ -3,7 +3,10 @@
 The driver integrates one function along a contour.  Each refinement round
 evaluates it once, on the nodes of every panel in that round, so vectorized
 special-function code is hit with large argument arrays instead of one point
-at a time.
+at a time.  Its body is a step generator, integrate_steps, that yields
+each round's points and is sent the values there; a caller can thus gather
+the rounds of many integrals into one evaluation.  integrate_batch drives
+it with a plain function.
 
 Contours are sequences of segments (straight lines and circular arcs), each
 parameterized on [0, 1].  Panels live in parameter space; the segment's
@@ -123,51 +126,79 @@ def integrate_batch(
     """Integrate one function along a piecewise contour.
 
     f maps a flat array of contour points to their values; each call
-    receives the 15 Kronrod nodes of every panel being evaluated.  The
-    integral is driven to err <= max(rel_tol * |value|, abs_floor), where
-    err is the root-sum-square of per-panel Kronrod-minus-Gauss differences.
-    Panels whose error exceeds the equal share target / sqrt(P) are
-    bisected, at most the worst _SPLIT_CAP of them per round, until the
-    total meets the target or the panel/round budget runs out.  Raises
-    ConvergenceError with the achieved error and the target if the total
-    misses it.
+    receives the 15 Kronrod nodes of every panel being evaluated.  See
+    integrate_steps for the rule, the target and the errors raised.
+    """
+    steps = integrate_steps(segments, initial_panels, rel_tol, abs_floor)
+    pts = next(steps)
+    while True:
+        try:
+            pts = steps.send(np.asarray(f(pts)))
+        except StopIteration as stop:
+            return stop.value
+
+
+def integrate_steps(
+    segments: Sequence[Segment],
+    initial_panels: Sequence[int],
+    rel_tol: float,
+    abs_floor: float = 0.0,
+):
+    """Step form of integrate_batch: a generator that yields the flat array
+    of contour points each round needs, is sent the integrand's values
+    there, and returns the BatchQuadResult.
+
+    The integral is driven to err <= max(rel_tol * |value|, abs_floor),
+    where err is the root-sum-square of per-panel Kronrod-minus-Gauss
+    differences.  Panels whose error exceeds the equal share target /
+    sqrt(P) are bisected, at most the worst _SPLIT_CAP of them per round,
+    until the total meets the target or the panel/round budget runs out.
+    Raises ConvergenceError with the achieved error and the target if the
+    total misses it.
     """
     if len(segments) != len(initial_panels):
         raise ValueError("need one initial panel count per segment")
 
-    seg_idx: list[int] = []
-    centers: list[float] = []
-    halves: list[float] = []
-    for i, (seg, n) in enumerate(zip(segments, initial_panels)):
-        n = max(1, int(n))
+    counts = [max(1, int(n)) for n in initial_panels]
+    # (centers, halves) of n equal panels on [0, 1], for each n in use.
+    layouts = {}
+    for n in set(counts):
         edges = np.linspace(0.0, 1.0, n + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            seg_idx.append(i)
-            centers.append(0.5 * (a + b))
-            halves.append(0.5 * (b - a))
+        layouts[n] = (0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1]))
+    seg_arr = np.repeat(np.arange(len(counts)), counts)
+    cen_arr = np.concatenate([np.zeros(0), *(layouts[n][0] for n in counts)])
+    half_arr = np.concatenate([np.zeros(0), *(layouts[n][1] for n in counts)])
 
-    seg_arr = np.array(seg_idx, dtype=int)
-    cen_arr = np.array(centers)
-    half_arr = np.array(halves)
+    # Lines, most of a contour, are mapped for all panels at once.
+    is_line = np.array([isinstance(seg, Line) for seg in segments], dtype=bool)
+    starts = np.array(
+        [seg.p0 if isinstance(seg, Line) else 0j for seg in segments], dtype=complex
+    )
+    steps = np.array(
+        [seg.p1 - seg.p0 if isinstance(seg, Line) else 0j for seg in segments],
+        dtype=complex,
+    )
 
     def evaluate(panel_seg, panel_cen, panel_half):
         """Kronrod integral and error estimate of each panel."""
         u = panel_cen[:, None] + panel_half[:, None] * NODES15[None, :]
         pts = np.empty(u.shape, dtype=complex)
         tans = np.empty(u.shape, dtype=complex)
-        for i, seg in enumerate(segments):
+        line = is_line[panel_seg]
+        on = panel_seg[line, None]
+        pts[line] = starts[on] + steps[on] * u[line]
+        tans[line] = steps[on]
+        for i in np.unique(panel_seg[~line]).tolist():
             mask = panel_seg == i
-            if not mask.any():
-                continue
-            pts[mask] = seg.point(u[mask])
-            tans[mask] = seg.tangent(u[mask])
-        g = np.asarray(f(pts.ravel())).reshape(u.shape) * tans
+            pts[mask] = segments[i].point(u[mask])
+            tans[mask] = segments[i].tangent(u[mask])
+        g = np.asarray((yield pts.ravel())).reshape(u.shape) * tans
         # Panel integral ~ half * sum(w * g); halves carry the u-space width.
         k15 = np.einsum("pi,i->p", g, WEIGHTS15) * panel_half
         g7 = np.einsum("pi,i->p", g, WEIGHTS7) * panel_half
         return k15, np.abs(k15 - g7)
 
-    k15, err = evaluate(seg_arr, cen_arr, half_arr)
+    k15, err = yield from evaluate(seg_arr, cen_arr, half_arr)
     n_evals = k15.size * 15
 
     for _ in range(_MAX_ROUNDS):
@@ -196,7 +227,7 @@ def integrate_batch(
             half_arr[to_split], 2
         )
 
-        ck15, cerr = evaluate(child_seg, child_cen, child_half)
+        ck15, cerr = yield from evaluate(child_seg, child_cen, child_half)
         n_evals += ck15.size * 15
         seg_arr = np.concatenate([seg_arr[keep], child_seg])
         cen_arr = np.concatenate([cen_arr[keep], child_cen])

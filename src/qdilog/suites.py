@@ -10,25 +10,34 @@ the reported error estimates.
 
 A suite is data: its run_* function lays out cases (label, inputs and a
 callable that runs both routes and judges them) for the resolved modulus,
-and the one runner, _run, times the suite, runs the cases and builds the
-report.  The cases run one after another, in case-index order, on the
-calling thread.  Errors raised while laying out the cases propagate; an
-error inside a case fails that case.
+building its integrand symbols once, and the one runner, _run, times the
+suite, runs the cases and builds the report.  Everything runs on the
+calling thread.  Plain cases run in case-index order.  The cases of the
+contour suites are step generators (see BoundSymbol.steps), which then run
+in lockstep: each round, every live case's G_b points go into one
+gb_eval_many call per modulus and config, so a suite makes about as many
+calls as its slowest case has rounds.  Values from a merged call can
+differ from a case's own call in the last bits, because the strip sum of
+a batch depends on the batch; the public single-case functions drive their
+steps alone and keep their bits.  Errors raised while laying out the cases
+propagate; an error inside a case fails that case, and in a merged call
+only the case whose own points raise.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import operator
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .contour import ContourSpec, integrate_contour
+from .contour import ContourSpec, integrate_contour_steps
 from .core import (
     EvalConfig,
     as_modulus,
@@ -43,17 +52,19 @@ from .core import (
 )
 from .errors import UnsupportedParameterError
 from .identities import (
-    six_nine_check,
     six_nine_integrand,
-    tau_binomial_check,
+    six_nine_steps,
     tau_binomial_integrand,
+    tau_binomial_steps,
 )
 from .operators import (
+    checked_rep_params,
+    kac_lhs,
     kac_substitution_tuple,
-    kac_values,
     make_rep_params,
-    qbinomial_value,
+    qbinomial_target,
     rep_bindings,
+    rep_law_steps,
     kac_rhs_integral,
     qbinomial_integral,
     verify_EE,
@@ -64,6 +75,12 @@ from .operators import (
     verify_weyl,
 )
 from .reports import CaseResult, SuiteReport
+
+# The suites run the step forms of these; perfbench/tracing.py rebinds the
+# names in this module, so they stay bound.
+from .contour import integrate_contour  # noqa: F401
+from .identities import six_nine_check, tau_binomial_check  # noqa: F401
+from .operators import kac_values, qbinomial_value  # noqa: F401
 
 __all__ = [
     "run_reflection",
@@ -87,34 +104,52 @@ DEFAULT_SEED = 20260817
 # Relative tolerance of the outer contour integral of each identity family;
 # the family's suite and its consistency cases both use it.
 _REL_TOL = {"tau-binomial": 1e-8, "six-nine": 1e-7, "q-binomial": 1e-8, "kac": 1e-7}
+_DEFAULT_CFG = EvalConfig()
 
 
 @dataclass(frozen=True)
 class _Case:
     """One comparison: check() runs both routes and returns the CaseResult
     fields other than index, label and inputs.  It may add inputs that only
-    the run determines."""
+    the run determines.
+
+    check() may instead return a step generator (see BoundSymbol.steps)
+    whose result is those fields.  With part set, check's result is shared
+    with other cases and is a sequence whose item part is this case's
+    fields.
+    """
 
     label: str
     inputs: dict
     check: Callable[[], dict]
+    part: int | None = None
 
 
 def _run(suite, b, cases, *, alpha, tol, config, seed=None) -> SuiteReport:
-    """Time one suite: resolve b, lay out cases(m), run them in order and
-    report.  An exception inside a case becomes a failed case."""
+    """Time one suite: resolve b, lay out cases(m), run them and report.
+
+    Plain checks run in case order; the step generators returned by the
+    other checks then run together (_lockstep).  An exception inside a
+    case becomes a failed case.
+    """
     t0 = time.perf_counter()
     m = as_modulus(b)
+    laid = cases(m)
+    outcomes = [_result(case.check) for case in laid]
+    jobs = list(dict.fromkeys(o for o in outcomes if inspect.isgenerator(o)))
+    finished = dict(zip(jobs, _lockstep(jobs)))
     results = []
-    for index, case in enumerate(cases(m)):
-        try:
-            outcome = case.check()
-        except Exception as exc:  # honest failure, not a crash
+    for index, (case, outcome) in enumerate(zip(laid, outcomes)):
+        if inspect.isgenerator(outcome):
+            outcome = finished[outcome]
+        if isinstance(outcome, Exception):  # honest failure, not a crash
             outcome = {
                 "passed": False,
                 "flags": ("error",),
-                "detail": f"{type(exc).__name__}: {exc}",
+                "detail": f"{type(outcome).__name__}: {outcome}",
             }
+        elif case.part is not None:
+            outcome = outcome[case.part]
         fields = {"inputs": case.inputs, **outcome}
         results.append(CaseResult(index=index, label=case.label, **fields))
     return SuiteReport(
@@ -127,6 +162,75 @@ def _run(suite, b, cases, *, alpha, tol, config, seed=None) -> SuiteReport:
         config=config,
         elapsed_seconds=time.perf_counter() - t0,
     )
+
+
+def _lockstep(jobs: list) -> list:
+    """Results of step generators run together; a generator that raised
+    has its exception as its result.
+
+    Each round, the G_b requests of every live generator go into one
+    gb_eval_many call per (modulus, config), and each generator is sent
+    its own slice of the values.  If that call raises, each request is
+    evaluated alone and only the generators whose own request raised get
+    the exception thrown in.
+    """
+    results = [None] * len(jobs)
+    live = {}
+
+    def advance(k, answer):
+        try:
+            if isinstance(answer, Exception):
+                live[k] = jobs[k].throw(answer)
+            else:
+                live[k] = jobs[k].send(answer)
+        except StopIteration as stop:
+            results[k] = stop.value
+        except Exception as exc:
+            results[k] = exc
+
+    for k in range(len(jobs)):
+        advance(k, None)
+    while live:
+        asked, live = live, {}
+        groups = {}
+        for k, (zs, m, cfg) in asked.items():
+            groups.setdefault((m, cfg or _DEFAULT_CFG), []).append(k)
+        for (m, cfg), ks in groups.items():
+            for k, answer in zip(ks, _answer([asked[k][0] for k in ks], m, cfg)):
+                advance(k, answer)
+    return results
+
+
+def _answer(point_sets: list, m, cfg) -> list:
+    """G_b values of each point set from one gb_eval_many call, or each
+    set's values or exception from a call of its own if that one raises."""
+    merged = _result(partial(gb_eval_many, np.concatenate(point_sets), m, cfg))
+    if isinstance(merged, Exception):
+        return [_result(partial(gb_eval_many, zs, m, cfg)) for zs in point_sets]
+    return np.split(merged, np.cumsum([len(zs) for zs in point_sets])[:-1])
+
+
+def _result(fn: Callable):
+    """fn(), or the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return exc
+
+
+def _once(fn: Callable):
+    """fn, called at most once: later calls return its value again, or
+    raise its exception again."""
+    memo = []
+
+    def call():
+        if not memo:
+            memo.append(_result(fn))
+        if isinstance(memo[0], Exception):
+            raise memo[0]
+        return memo[0]
+
+    return call
 
 
 def _contour_meta(res) -> dict:
@@ -179,8 +283,8 @@ def run_reflection(
         ys = [-0.9 + 1.8 * j / max(n - 1, 1) for j in range(n)]
         zs = np.array([x + 1j * y for x in xs for y in ys])
         # One batched call, made by the first case: a failed evaluation
-        # fails cases and not the layout.
-        g = cache(partial(gb_eval_many, np.concatenate([zs, m.Q - zs]), m, cfg))
+        # fails every case, with one detail, and not the layout.
+        g = _once(partial(gb_eval_many, np.concatenate([zs, m.Q - zs]), m, cfg))
 
         def check(k, z):
             rhs = np.exp(1j * math.pi * z * (z - m.Q))
@@ -212,7 +316,7 @@ def run_funceq(
     def cases(m):
         z0s = [complex(f * m.Q.real, y) for f, y in _FUNCEQ_POINTS]
         shifted = [z + n1 * m.b + n2 * m.b_inv for z in z0s for n1, n2 in orders]
-        g = cache(partial(gb_eval_many, np.array(z0s + shifted), m, cfg))
+        g = _once(partial(gb_eval_many, np.array(z0s + shifted), m, cfg))
 
         def check(k, iz, n1, n2):
             rhs = func_eq_general(z0s[iz], n1, n2, m) * g()[iz]
@@ -250,7 +354,7 @@ def run_product_oracle(
             )
         req = m.Q.real
         xs = np.array([req * (k + 0.5) / n for k in range(n)])
-        lhs = cache(partial(gb_eval_many, xs, m, cfg))
+        lhs = _once(partial(gb_eval_many, xs, m, cfg))
 
         def check(k, x):
             return _compare(lhs()[k], gb_product_oracle(complex(x), m), tol)
@@ -327,9 +431,10 @@ def run_tau_binomial(
 
     def cases(m):
         grid = [m.Q * k / 12 for k in range(1, n + 1)]
+        spec = tau_binomial_integrand()
 
         def check(a, be):
-            lhs, rhs, res = tau_binomial_check(a, be, m, cfg=cfg, rel_tol=rel_tol)
+            lhs, rhs, res = yield from tau_binomial_steps(spec, a, be, m, cfg, rel_tol)
             return _compare(lhs, rhs, tol, res)
 
         return [
@@ -386,9 +491,12 @@ def run_six_nine(
         params = make_rep_params(m.b, alpha=alpha)
         kac_tuple = kac_substitution_tuple(params, params.u_samples[0])
         entries.append(("kac-substitution", kac_tuple))
+        spec = six_nine_integrand()
 
         def check(a, b_arg, c, d):
-            lhs, rhs, res = six_nine_check(a, b_arg, c, d, m, cfg=cfg, rel_tol=rel_tol)
+            lhs, rhs, res = yield from six_nine_steps(
+                spec, a, b_arg, c, d, m, cfg, rel_tol
+            )
             return _compare(lhs, rhs, tol, res)
 
         return [
@@ -477,9 +585,12 @@ def run_q_binomial(
     ]
 
     def cases(m):
+        spec, target = qbinomial_integral().spec(), qbinomial_target()
+        static = (kac_lhs().symbol, target)
+
         def check(s, al, u):
-            params = make_rep_params(m.b, alpha=al, s=s, u_samples=(u,))
-            lhs, rhs, res = qbinomial_value(params, u, cfg=cfg, rel_tol=rel_tol)
+            params = checked_rep_params(static, m.b, alpha=al, s=s, u_samples=(u,))
+            lhs, rhs, res = yield from rep_law_steps(spec, target, params, u, cfg, rel_tol)
             return _compare(lhs, rhs, tol, res)
 
         return [
@@ -537,9 +648,12 @@ def run_kac(
         tuples = [(s, t, alpha, u) for s, t, _, u in tuples]
 
     def cases(m):
+        spec, product = kac_rhs_integral().spec(), kac_lhs().symbol
+        static = (product, qbinomial_target())
+
         def check(s, t, al, u):
-            params = make_rep_params(m.b, alpha=al, s=s, t=t, u_samples=(u,))
-            lhs, rhs, res = kac_values(params, u, cfg=cfg, rel_tol=rel_tol)
+            params = checked_rep_params(static, m.b, alpha=al, s=s, t=t, u_samples=(u,))
+            lhs, rhs, res = yield from rep_law_steps(spec, product, params, u, cfg, rel_tol)
             return _compare(lhs, rhs, tol, res)
 
         return [
@@ -581,10 +695,11 @@ def _deformed(contour: ContourSpec) -> ContourSpec:
     return replace(contour, baseline=contour.baseline + shift)
 
 
-def _consistency_pair(spec, bindings, m, cfg, rel_tol) -> list:
-    """Outcomes of one integral against a deformed contour and against a
-    doubled truncation, each agreeing within the two error estimates."""
-    res0 = integrate_contour(spec, bindings, m, cfg=cfg, rel_tol=rel_tol)
+def _consistency_pair(spec, bindings, m, cfg, rel_tol):
+    """Step generator (see BoundSymbol.steps) of the outcomes of one
+    integral against a deformed contour and against a doubled truncation,
+    each agreeing within the two error estimates."""
+    res0 = yield from integrate_contour_steps(spec, bindings, m, cfg=cfg, rel_tol=rel_tol)
     t_max = max(res0.truncation)
     variants = (
         ({"deformation": "radius" if res0.contour.indentations else "shift"},
@@ -593,7 +708,7 @@ def _consistency_pair(spec, bindings, m, cfg, rel_tol) -> list:
     )
     outcomes = []
     for inputs, contour in variants:
-        res = integrate_contour(
+        res = yield from integrate_contour_steps(
             spec, bindings, m, contour=contour, cfg=cfg, rel_tol=rel_tol
         )
         scale = max(abs(res0.value), abs(res.value), 1e-300)
@@ -630,8 +745,8 @@ def run_consistency(
         # and red, so a failed evaluation fails cases and not the layout.
         z = 0.3 * m.Q.real + 0.2j
         zr = 0.5 * m.Q.real + 3.5 * max(m.b.real, m.b_inv.real) + 0.35j
-        v0 = cache(partial(gb_eval, z, m, cfg))
-        red = cache(partial(strip_reduce, zr, m))
+        v0 = _once(partial(gb_eval, z, m, cfg))
+        red = _once(partial(strip_reduce, zr, m))
         strip = (
             ("strip truncation-margin +1 decade", z, 2 * cfg.rel_tol, lambda: (
                 v0(), gb_eval(z, m, replace(cfg, trunc_margin=cfg.trunc_margin + 1.0)))),
@@ -658,13 +773,11 @@ def run_consistency(
             ("kac", kac_rhs_integral().spec(), rep(alpha=0.5, s=0.3, t=0.2)),
         )
         for family, spec, bindings in families:
-            # A pair integrates its base value once, in its first case, and
-            # the other case reads it.
-            pair = cache(
-                partial(_consistency_pair, spec, bindings, m, cfg, _REL_TOL[family])
-            )
+            # The pair's two cases share one generator, so the base value is
+            # integrated once.
+            pair = _consistency_pair(spec, bindings, m, cfg, _REL_TOL[family])
             out += [
-                _Case(f"{family} {variant}", {}, lambda pair=pair, k=k: pair()[k])
+                _Case(f"{family} {variant}", {}, lambda pair=pair: pair, part=k)
                 for k, variant in enumerate(("contour-deformed", "truncation-doubled"))
             ]
         return out

@@ -496,7 +496,17 @@ class Symbol:
         PoleProximityError where a factor with a negative exponent sits on a
         zero of G_b.
         """
-        return complex(self.evaluate_on(None, np.zeros(1), bindings, m, cfg)[0])
+        return run_steps(self.evaluate_steps(bindings, m, cfg))
+
+    def evaluate_steps(
+        self,
+        bindings: Mapping[str, complex],
+        m: ModulusParam,
+        cfg: EvalConfig | None = None,
+    ):
+        """Step form of evaluate (see BoundSymbol.steps)."""
+        vals = yield from self.bind(None, bindings, m, cfg).steps(np.zeros(1))
+        return complex(vals[0])
 
     def evaluate_on(
         self,
@@ -513,23 +523,26 @@ class Symbol:
         dilogarithm evaluation.  Raises PoleProximityError where a factor
         with a negative exponent sits on a zero of G_b.
         """
-        values = np.asarray(values, dtype=complex)
+        return run_steps(self.bind(var, bindings, m, cfg).steps(values))
+
+    def bind(
+        self,
+        var: str | None,
+        bindings: Mapping[str, complex],
+        m: ModulusParam,
+        cfg: EvalConfig | None = None,
+    ) -> "BoundSymbol":
+        """The symbol as a function of var alone, with its floats computed once."""
         c2, c1, c0 = self.gauss.polynomial_in(var, bindings)
-        out = np.exp(cmath.pi * (c2 * values * values + c1 * values + c0))
-        if not self.factors:
-            return out
-        args = []
-        for f in self.factors:
-            a0 = f.argument.drop(var).evaluate(bindings)
-            g = complex(f.argument.coeff(var))
-            args.append(a0 + g * values)
-        flat = np.concatenate(args)
-        vals = gb_eval_many(flat, m, cfg)
-        n = len(values)
-        _check_reciprocals([f.exponent for f in self.factors], flat, vals, m)
-        for i, f in enumerate(self.factors):
-            out = out * vals[i * n : (i + 1) * n] ** f.exponent
-        return out
+        factors = tuple(
+            (
+                f.exponent,
+                complex(f.argument.coeff(var)),
+                f.argument.drop(var).evaluate(bindings),
+            )
+            for f in self.factors
+        )
+        return BoundSymbol(c2, c1, c0, factors, m, cfg)
 
     def __repr__(self) -> str:
         fac = " * ".join(
@@ -537,6 +550,57 @@ class Symbol:
             for f in self.factors
         )
         return f"Symbol[e^(pi*({self.gauss.terms}))" + (f" * {fac}]" if fac else "]")
+
+
+class BoundSymbol:
+    """A symbol with every generator but one bound to a number.
+
+    Its value at v is exp(pi (c2 v^2 + c1 v + c0)) times the product of
+    G_b(a0 + g v)^exponent over factors, which holds (exponent, g, a0).
+    A plain class, because a dataclass generates its methods at import.
+    """
+
+    __slots__ = ("c2", "c1", "c0", "factors", "m", "cfg")
+
+    def __init__(self, c2, c1, c0, factors: tuple, m: ModulusParam, cfg):
+        self.c2, self.c1, self.c0 = c2, c1, c0
+        self.factors, self.m, self.cfg = factors, m, cfg
+
+    def steps(self, values: np.ndarray):
+        """Step form of Symbol.evaluate_on: a generator that yields one G_b
+        request (points, modulus, config) for every factor argument at every
+        value, is sent the G_b values at those points, and returns the
+        symbol's values."""
+        values = np.asarray(values, dtype=complex)
+        out = np.exp(cmath.pi * (self.c2 * values * values + self.c1 * values + self.c0))
+        if not self.factors:
+            return out
+        flat = np.concatenate([a0 + g * values for _, g, a0 in self.factors])
+        vals = yield flat, self.m, self.cfg
+        n = len(values)
+        _check_reciprocals([e for e, _, _ in self.factors], flat, vals, self.m)
+        for i, (e, _, _) in enumerate(self.factors):
+            out = out * vals[i * n : (i + 1) * n] ** e
+        return out
+
+
+def run_steps(steps):
+    """Run a step generator alone and return its result.
+
+    Each (points, modulus, config) request it yields is answered by one
+    gb_eval_many call on exactly those points; an exception from that call
+    is thrown into the generator at the request.
+    """
+    answer = failure = None
+    while True:
+        try:
+            request = steps.send(answer) if failure is None else steps.throw(failure)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            answer, failure = gb_eval_many(*request), None
+        except Exception as exc:
+            answer, failure = None, exc
 
 
 def _check_reciprocals(exponents, args, vals: np.ndarray, m: ModulusParam) -> None:

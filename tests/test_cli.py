@@ -377,7 +377,7 @@ def test_rel_tol_outside_its_domain_is_unsupported(monkeypatch, capsys, argv):
     def unreachable(*args, **kwargs):
         raise AssertionError("a case ran")
 
-    monkeypatch.setattr(suites, "tau_binomial_check", unreachable)
+    monkeypatch.setattr(suites, "tau_binomial_steps", unreachable)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_UNSUPPORTED
     assert out == ""
@@ -511,7 +511,7 @@ def test_raising_case_becomes_a_failed_error_case(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("injected")
 
-    monkeypatch.setattr(suites, "tau_binomial_check", broken)
+    monkeypatch.setattr(suites, "tau_binomial_steps", broken)
     code, out, _ = run(
         capsys, "verify", "--suite", "tau-binomial", "--grid", "small",
         "--format", "json",
@@ -526,14 +526,14 @@ def test_raising_case_becomes_a_failed_error_case(monkeypatch, capsys):
 
 
 def test_every_case_runs_on_the_calling_thread(monkeypatch, capsys):
-    check = suites.tau_binomial_check
+    steps = suites.tau_binomial_steps
     seen = []
 
     def recording(*args, **kwargs):
         seen.append(threading.get_ident())
-        return check(*args, **kwargs)
+        return (yield from steps(*args, **kwargs))
 
-    monkeypatch.setattr(suites, "tau_binomial_check", recording)
+    monkeypatch.setattr(suites, "tau_binomial_steps", recording)
     code, _, _ = run(
         capsys, "verify", "--suite", "tau-binomial", "--grid", "small",
         "--threads", "4",

@@ -25,7 +25,14 @@ from qdilog.operators import (
     qbinomial_integral,
     rep_bindings,
 )
-from qdilog.symbolic import GaussRat, IntegrandSpec, Symbol, gauss_from_products, gen
+from qdilog.symbolic import (
+    GaussRat,
+    IntegrandSpec,
+    Symbol,
+    gauss_from_products,
+    gen,
+    run_steps,
+)
 
 M8 = as_modulus(0.8)
 
@@ -350,8 +357,9 @@ def test_consistency_cases_scale_by_the_values_they_compare(monkeypatch):
             n_evals=0,
             contour=ContourSpec(baseline=0.0),
         )
+        yield  # a step generator that needs no G_b values
 
-    monkeypatch.setattr(suites, "integrate_contour", stub)
-    deformed, doubled = suites._consistency_pair(None, {}, M8, None, 1e-8)
+    monkeypatch.setattr(suites, "integrate_contour_steps", stub)
+    deformed, doubled = run_steps(suites._consistency_pair(None, {}, M8, None, 1e-8))
     assert deformed["deviation"] == pytest.approx(9.0 / 10.0, rel=1e-12)
     assert doubled["deviation"] == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-12)
