@@ -18,9 +18,11 @@ asymptotics of G_b fix the tail decay and the local oscillation rate used
 to size panels.
 
 integrate_contour_steps is the integration as a step generator: it binds
-the integrand to floats once, then yields one G_b request per integrand
-evaluation (the probe, each tail stretch, each Gauss-Kronrod round) and is
-sent the values.  integrate_contour runs it alone.
+the integrand to floats once, reads the fans from the bound factors, then
+yields one G_b request per integrand evaluation (the probe, each tail
+stretch, each Gauss-Kronrod round) and is sent the values.
+integrate_contour runs it with run_steps, the lockstep driver on one
+generator.
 """
 
 from __future__ import annotations
@@ -131,27 +133,22 @@ def _classify_steps(s1: complex, s2: complex) -> int:
     return 1 if s1.imag > 0 else -1
 
 
-def _moving_factors(spec: IntegrandSpec, bindings: Mapping[str, complex]):
-    """(exponent, slope g, offset a0) of each factor whose argument
-    a0 + g v moves with the integration variable v."""
-    for f in spec.symbol.factors:
-        g = complex(f.argument.coeff(spec.var))
-        if g != 0:
-            yield f.exponent, g, f.argument.drop(spec.var).evaluate(bindings)
-
-
 def pole_sequences(
     spec: IntegrandSpec, bindings: Mapping[str, complex], b
 ) -> tuple:
     """(pole fans, zero fans) of the integrand in the integration variable."""
-    return _fans(_moving_factors(spec, bindings), as_modulus(b))
+    m = as_modulus(b)
+    return _fans(spec.symbol.bind(spec.var, bindings, m).factors, m)
 
 
-def _fans(moving, m) -> tuple:
-    """pole_sequences from the (exponent, g, a0) of the moving factors."""
+def _fans(factors, m) -> tuple:
+    """pole_sequences from the (exponent, g, a0) of the bound factors; a
+    factor with g = 0 does not move with the variable and has no fan."""
     poles: list[PoleSeq] = []
     zeros: list[PoleSeq] = []
-    for e, g, a0 in moving:
+    for e, g, a0 in factors:
+        if g == 0:
+            continue
         at_pole_lattice = ((-a0) / g, (-m.b / g, -m.b_inv / g))
         at_zero_lattice = ((m.Q - a0) / g, (m.b / g, m.b_inv / g))
         if e > 0:
@@ -322,15 +319,15 @@ def _plan(poles, zeros) -> ContourSpec:
 # Decay analysis, panel layout, integration
 
 
-def _direction_coeffs(bound: BoundSymbol, moving, d: int):
+def _direction_coeffs(bound: BoundSymbol, d: int):
     """Leading coefficients (c2, c1) of the exponent for Re v -> d*inf.
 
     Factors whose argument heads to Im -> -inf on that side follow
     G_b(z) ~ zeta e^{i pi z (z - Q)} and contribute their quadratic phase;
-    the rest tend to a constant.
+    the rest, those with g = 0 among them, tend to a constant.
     """
     c2, c1, m = bound.c2, bound.c1, bound.m
-    for e, g, a0 in moving:
+    for e, g, a0 in bound.factors:
         if g.imag * d < 0:
             c2 += e * 1j * g * g
             c1 += e * 1j * g * (2 * a0 - m.Q)
@@ -491,13 +488,12 @@ def integrate_contour_steps(
     rel_tol = cfg.rel_tol if rel_tol is None else rel_tol
     # The integrand's floats, computed once for the plan and every round.
     bound = spec.symbol.bind(spec.var, bindings, m, cfg)
-    moving = [(e, g, a0) for e, g, a0 in bound.factors if g != 0]
-    poles, zeros = _fans(moving, m)
+    poles, zeros = _fans(bound.factors, m)
     if contour is None:
         contour = _plan(poles, zeros)
     y0 = contour.baseline
 
-    coeffs = {d: _direction_coeffs(bound, moving, d) for d in (+1, -1)}
+    coeffs = {d: _direction_coeffs(bound, d) for d in (+1, -1)}
 
     tail_rel = rel_tol * 10.0 ** (-cfg.trunc_margin)
     drop = -math.log(tail_rel) + 4.0

@@ -10,6 +10,11 @@ that enters every dilogarithm argument as b*tau, so the engine integrates
 directly in v = b*tau; the identity's measure is the measure of that same
 variable, and the engine value is the quoted value with no extra factor.
 The six-to-nine identity is stated in a bare tau, same story.
+
+identity_steps is the step form of every integral identity in the package:
+an integral at some bindings, then a closed form's step form at the same
+bindings.  Each identity here brings a bindings builder and a closed-form
+step function; the operator laws bring a symbol's evaluate_steps.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .contour import integrate_contour_steps
-from .core import EvalConfig, as_modulus
+from .core import EvalConfig, ModulusParam, as_modulus
 from .symbolic import (
     GaussRat,
     IntegrandSpec,
@@ -33,16 +38,36 @@ from .contour import integrate_contour  # noqa: F401
 from .core import gb_eval_many  # noqa: F401
 
 __all__ = [
+    "identity_steps",
     "tau_binomial_integrand",
+    "tau_binomial_bindings",
+    "tau_binomial_closed_steps",
     "tau_binomial_check",
-    "tau_binomial_steps",
     "six_nine_integrand",
+    "six_nine_bindings",
+    "six_nine_closed_steps",
     "six_nine_check",
-    "six_nine_steps",
 ]
 
 _I = GaussRat.of(1j)
 _MINUS_I = GaussRat.of(-1j)
+
+
+def identity_steps(
+    spec: IntegrandSpec,
+    closed,
+    bindings: dict,
+    m: ModulusParam,
+    cfg: EvalConfig | None = None,
+    rel_tol: float | None = None,
+):
+    """Step form (see BoundSymbol.steps) of one integral identity: spec
+    integrated at bindings, then the step form closed(bindings, m, cfg) of
+    its closed form.  Returns (integral value, closed form,
+    IntegrationResult)."""
+    res = yield from integrate_contour_steps(spec, bindings, m, cfg=cfg, rel_tol=rel_tol)
+    value = yield from closed(bindings, m, cfg)
+    return res.value, value, res
 
 
 def tau_binomial_integrand() -> IntegrandSpec:
@@ -57,6 +82,18 @@ def tau_binomial_integrand() -> IntegrandSpec:
     return IntegrandSpec(sym, "btau")
 
 
+def tau_binomial_bindings(alpha: complex, beta: complex, b) -> dict:
+    """Generator values of tau_binomial_integrand at (alpha, beta)."""
+    return {"Q": as_modulus(b).Q, "alpha": complex(alpha), "beta": complex(beta)}
+
+
+def tau_binomial_closed_steps(bindings: dict, m: ModulusParam, cfg=None):
+    """Step form of G(alpha) G(beta) / G(alpha + beta)."""
+    alpha, beta = bindings["alpha"], bindings["beta"]
+    ga, gb_, gab = yield np.array([alpha, beta, alpha + beta], dtype=complex), m, cfg
+    return ga * gb_ / gab
+
+
 def tau_binomial_check(
     alpha: complex,
     beta: complex,
@@ -69,26 +106,11 @@ def tau_binomial_check(
     Absolute convergence needs Re beta > 0 and Re(alpha + beta) < Re Q;
     outside that wedge the engine refuses the contour rather than guessing.
     """
-    return run_steps(
-        tau_binomial_steps(tau_binomial_integrand(), alpha, beta, b, cfg, rel_tol)
-    )
-
-
-def tau_binomial_steps(
-    spec: IntegrandSpec,
-    alpha: complex,
-    beta: complex,
-    b,
-    cfg: EvalConfig | None = None,
-    rel_tol: float | None = None,
-):
-    """Step form of tau_binomial_check with its integrand given (see
-    BoundSymbol.steps): the integral's G_b requests, then the closed form's."""
     m = as_modulus(b)
-    bindings = {"Q": m.Q, "alpha": complex(alpha), "beta": complex(beta)}
-    res = yield from integrate_contour_steps(spec, bindings, m, cfg=cfg, rel_tol=rel_tol)
-    ga, gb_, gab = yield np.array([alpha, beta, alpha + beta], dtype=complex), m, cfg
-    return res.value, ga * gb_ / gab, res
+    return run_steps(identity_steps(
+        tau_binomial_integrand(), tau_binomial_closed_steps,
+        tau_binomial_bindings(alpha, beta, m), m, cfg, rel_tol,
+    ))
 
 
 def six_nine_integrand() -> IntegrandSpec:
@@ -110,6 +132,28 @@ def six_nine_integrand() -> IntegrandSpec:
     return IntegrandSpec(sym, "tau")
 
 
+def six_nine_bindings(a: complex, b_arg: complex, c: complex, d: complex, b) -> dict:
+    """Generator values of six_nine_integrand at (A, B, C, D)."""
+    return {
+        "Q": as_modulus(b).Q,
+        "A": complex(a),
+        "B": complex(b_arg),
+        "C": complex(c),
+        "D": complex(d),
+    }
+
+
+def six_nine_closed_steps(bindings: dict, m: ModulusParam, cfg=None):
+    """Step form of the six-over-three product of G values."""
+    a, b_arg, c, d = (bindings[k] for k in "ABCD")
+    args = np.array(
+        [a, b_arg, c, a + d, b_arg + d, c + d, a + b_arg + d, a + c + d, b_arg + c + d],
+        dtype=complex,
+    )
+    g = yield args, m, cfg
+    return (g[0] * g[1] * g[2] * g[3] * g[4] * g[5]) / (g[6] * g[7] * g[8])
+
+
 def six_nine_check(
     a: complex,
     b_arg: complex,
@@ -120,36 +164,8 @@ def six_nine_check(
     rel_tol: float | None = None,
 ) -> tuple:
     """(engine value, six-over-three product of G values, IntegrationResult)."""
-    return run_steps(
-        six_nine_steps(six_nine_integrand(), a, b_arg, c, d, b, cfg, rel_tol)
-    )
-
-
-def six_nine_steps(
-    spec: IntegrandSpec,
-    a: complex,
-    b_arg: complex,
-    c: complex,
-    d: complex,
-    b,
-    cfg: EvalConfig | None = None,
-    rel_tol: float | None = None,
-):
-    """Step form of six_nine_check with its integrand given (see
-    BoundSymbol.steps): the integral's G_b requests, then the closed form's."""
     m = as_modulus(b)
-    bindings = {
-        "Q": m.Q,
-        "A": complex(a),
-        "B": complex(b_arg),
-        "C": complex(c),
-        "D": complex(d),
-    }
-    res = yield from integrate_contour_steps(spec, bindings, m, cfg=cfg, rel_tol=rel_tol)
-    args = np.array(
-        [a, b_arg, c, a + d, b_arg + d, c + d, a + b_arg + d, a + c + d, b_arg + c + d],
-        dtype=complex,
-    )
-    g = yield args, m, cfg
-    rhs = (g[0] * g[1] * g[2] * g[3] * g[4] * g[5]) / (g[6] * g[7] * g[8])
-    return res.value, rhs, res
+    return run_steps(identity_steps(
+        six_nine_integrand(), six_nine_closed_steps,
+        six_nine_bindings(a, b_arg, c, d, m), m, cfg, rel_tol,
+    ))

@@ -31,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contour import integrate_contour_steps
 from .core import EvalConfig, _near_lattice, as_modulus
 from .errors import DegenerateParameterError
+from .identities import identity_steps
 from .symbolic import (
     AffineForm,
     GR_I,
@@ -80,7 +80,6 @@ __all__ = [
     "qbinomial_value",
     "kac_values",
     "checked_rep_params",
-    "rep_law_steps",
 ]
 
 _I = GR_I
@@ -461,10 +460,10 @@ def qbinomial_value(
     swapped: bool = False,
 ) -> tuple:
     """(integral value, target, IntegrationResult) for the binomial expansion."""
-    spec = qbinomial_integral(swapped=swapped).spec()
-    return run_steps(
-        rep_law_steps(spec, qbinomial_target(), params, u_value, cfg, rel_tol)
-    )
+    return run_steps(identity_steps(
+        qbinomial_integral(swapped=swapped).spec(), qbinomial_target().evaluate_steps,
+        rep_bindings(params, u_value), as_modulus(params.b), cfg, rel_tol,
+    ))
 
 
 def kac_values(
@@ -474,25 +473,7 @@ def kac_values(
     rel_tol: float | None = None,
 ) -> tuple:
     """(integral value, product value, IntegrationResult) for the E o F law."""
-    spec = kac_rhs_integral().spec()
-    return run_steps(
-        rep_law_steps(spec, kac_lhs().symbol, params, u_value, cfg, rel_tol)
-    )
-
-
-def rep_law_steps(
-    spec: IntegrandSpec,
-    closed_form: Symbol,
-    params: RepParams,
-    u_value: complex,
-    cfg: EvalConfig | None = None,
-    rel_tol: float | None = None,
-):
-    """Step form of qbinomial_value and kac_values with the law's two sides
-    given (see BoundSymbol.steps): the integral's G_b requests, then the
-    closed form's.  Returns (integral value, closed form, IntegrationResult)."""
-    m = as_modulus(params.b)
-    bindings = rep_bindings(params, u_value)
-    res = yield from integrate_contour_steps(spec, bindings, m, cfg=cfg, rel_tol=rel_tol)
-    value = yield from closed_form.evaluate_steps(bindings, m, cfg)
-    return res.value, value, res
+    return run_steps(identity_steps(
+        kac_rhs_integral().spec(), kac_lhs().symbol.evaluate_steps,
+        rep_bindings(params, u_value), as_modulus(params.b), cfg, rel_tol,
+    ))

@@ -12,16 +12,18 @@ A suite is data: its run_* function lays out cases (label, inputs and a
 callable that runs both routes and judges them) for the resolved modulus,
 building its integrand symbols once, and the one runner, _run, times the
 suite, runs the cases and builds the report.  Everything runs on the
-calling thread.  Plain cases run in case-index order.  The cases of the
-contour suites are step generators (see BoundSymbol.steps), which then run
-in lockstep: each round, every live case's G_b points go into one
-gb_eval_many call per modulus and config, so a suite makes about as many
-calls as its slowest case has rounds.  Values from a merged call can
-differ from a case's own call in the last bits, because the strip sum of
-a batch depends on the batch; the public single-case functions drive their
-steps alone and keep their bits.  Errors raised while laying out the cases
-propagate; an error inside a case fails that case, and in a merged call
-only the case whose own points raise.
+calling thread.  Plain cases run in case-index order.  Every case of the
+contour suites is one _identity_check, a step generator (see
+BoundSymbol.steps) of an integral against its closed form; these then run
+in lockstep (symbolic._lockstep): each round, every live case's G_b points
+go into one gb_eval_many call per modulus and config, so a suite makes
+about as many calls as its slowest case has rounds.  Values from a merged
+call can differ from a case's own call in the last bits, because the strip
+sum of a batch depends on the batch; the public single-case functions run
+the same driver on their one generator (run_steps) and keep their bits.
+Errors raised while laying out the cases propagate; an error inside a case
+fails that case, and in a merged call only the case whose own points
+raise.
 """
 
 from __future__ import annotations
@@ -52,10 +54,13 @@ from .core import (
 )
 from .errors import UnsupportedParameterError
 from .identities import (
+    identity_steps,
+    six_nine_bindings,
+    six_nine_closed_steps,
     six_nine_integrand,
-    six_nine_steps,
+    tau_binomial_bindings,
+    tau_binomial_closed_steps,
     tau_binomial_integrand,
-    tau_binomial_steps,
 )
 from .operators import (
     checked_rep_params,
@@ -64,7 +69,6 @@ from .operators import (
     make_rep_params,
     qbinomial_target,
     rep_bindings,
-    rep_law_steps,
     kac_rhs_integral,
     qbinomial_integral,
     verify_EE,
@@ -75,6 +79,7 @@ from .operators import (
     verify_weyl,
 )
 from .reports import CaseResult, SuiteReport
+from .symbolic import _lockstep
 
 # The suites run the step forms of these; perfbench/tracing.py rebinds the
 # names in this module, so they stay bound.
@@ -104,7 +109,6 @@ DEFAULT_SEED = 20260817
 # Relative tolerance of the outer contour integral of each identity family;
 # the family's suite and its consistency cases both use it.
 _REL_TOL = {"tau-binomial": 1e-8, "six-nine": 1e-7, "q-binomial": 1e-8, "kac": 1e-7}
-_DEFAULT_CFG = EvalConfig()
 
 
 @dataclass(frozen=True)
@@ -164,52 +168,6 @@ def _run(suite, b, cases, *, alpha, tol, config, seed=None) -> SuiteReport:
     )
 
 
-def _lockstep(jobs: list) -> list:
-    """Results of step generators run together; a generator that raised
-    has its exception as its result.
-
-    Each round, the G_b requests of every live generator go into one
-    gb_eval_many call per (modulus, config), and each generator is sent
-    its own slice of the values.  If that call raises, each request is
-    evaluated alone and only the generators whose own request raised get
-    the exception thrown in.
-    """
-    results = [None] * len(jobs)
-    live = {}
-
-    def advance(k, answer):
-        try:
-            if isinstance(answer, Exception):
-                live[k] = jobs[k].throw(answer)
-            else:
-                live[k] = jobs[k].send(answer)
-        except StopIteration as stop:
-            results[k] = stop.value
-        except Exception as exc:
-            results[k] = exc
-
-    for k in range(len(jobs)):
-        advance(k, None)
-    while live:
-        asked, live = live, {}
-        groups = {}
-        for k, (zs, m, cfg) in asked.items():
-            groups.setdefault((m, cfg or _DEFAULT_CFG), []).append(k)
-        for (m, cfg), ks in groups.items():
-            for k, answer in zip(ks, _answer([asked[k][0] for k in ks], m, cfg)):
-                advance(k, answer)
-    return results
-
-
-def _answer(point_sets: list, m, cfg) -> list:
-    """G_b values of each point set from one gb_eval_many call, or each
-    set's values or exception from a call of its own if that one raises."""
-    merged = _result(partial(gb_eval_many, np.concatenate(point_sets), m, cfg))
-    if isinstance(merged, Exception):
-        return [_result(partial(gb_eval_many, zs, m, cfg)) for zs in point_sets]
-    return np.split(merged, np.cumsum([len(zs) for zs in point_sets])[:-1])
-
-
 def _result(fn: Callable):
     """fn(), or the exception it raised."""
     try:
@@ -263,6 +221,15 @@ def _compare(lhs, rhs, tol, res=None) -> dict:
     }
 
 
+def _identity_check(spec, closed, m, cfg, rel_tol, tol, bind: Callable[[], dict]):
+    """Step generator (see BoundSymbol.steps) of one identity case: the
+    integral of spec against its closed form (see identity_steps), at the
+    bindings bind() returns.  bind runs inside the case, so labels it
+    refuses fail only this case."""
+    lhs, rhs, res = yield from identity_steps(spec, closed, bind(), m, cfg, rel_tol)
+    return _compare(lhs, rhs, tol, res)
+
+
 # ---------------------------------------------------------------------------
 # Core-function suites
 
@@ -273,7 +240,6 @@ def run_reflection(
     tol: float = 1e-9,
     cfg: EvalConfig | None = None,
     n: int = 10,
-    seed=None,
 ) -> SuiteReport:
     """G(z) G(Q-z) against exp(pi i z (z - Q)) on an n x n strip grid."""
 
@@ -307,7 +273,6 @@ def run_funceq(
     alpha=None,
     tol: float = 1e-9,
     cfg: EvalConfig | None = None,
-    seed=None,
     max_order: int = 2,
 ) -> SuiteReport:
     """Shift equation in both periods: G(z + n1 b + n2/b) vs factor * G(z)."""
@@ -342,7 +307,6 @@ def run_product_oracle(
     tol: float = 1e-8,
     cfg: EvalConfig | None = None,
     n: int = 20,
-    seed=None,
 ) -> SuiteReport:
     """Defining-integral route against the double infinite product."""
 
@@ -372,7 +336,6 @@ def run_pole_limits(
     alpha=None,
     tol: float = 1e-5,
     cfg: EvalConfig | None = None,
-    seed=None,
 ) -> SuiteReport:
     """Richardson-extrapolated x*G(x - lattice) and x/G(x + Q + lattice).
 
@@ -420,7 +383,6 @@ def run_tau_binomial(
     tol: float = 1e-6,
     cfg: EvalConfig | None = None,
     n: int = 5,
-    seed=None,
 ) -> SuiteReport:
     """Beta-integral identity on an n x n (alpha, beta) grid.
 
@@ -431,17 +393,13 @@ def run_tau_binomial(
 
     def cases(m):
         grid = [m.Q * k / 12 for k in range(1, n + 1)]
-        spec = tau_binomial_integrand()
-
-        def check(a, be):
-            lhs, rhs, res = yield from tau_binomial_steps(spec, a, be, m, cfg, rel_tol)
-            return _compare(lhs, rhs, tol, res)
-
+        check = partial(_identity_check, tau_binomial_integrand(),
+                        tau_binomial_closed_steps, m, cfg, rel_tol, tol)
         return [
             _Case(
                 f"alpha={a:.4g} beta={be:.4g}",
                 {"alpha": a, "beta": be},
-                partial(check, a, be),
+                partial(check, partial(tau_binomial_bindings, a, be, m)),
             )
             for a in grid
             for be in grid
@@ -491,19 +449,13 @@ def run_six_nine(
         params = make_rep_params(m.b, alpha=alpha)
         kac_tuple = kac_substitution_tuple(params, params.u_samples[0])
         entries.append(("kac-substitution", kac_tuple))
-        spec = six_nine_integrand()
-
-        def check(a, b_arg, c, d):
-            lhs, rhs, res = yield from six_nine_steps(
-                spec, a, b_arg, c, d, m, cfg, rel_tol
-            )
-            return _compare(lhs, rhs, tol, res)
-
+        check = partial(_identity_check, six_nine_integrand(), six_nine_closed_steps,
+                        m, cfg, rel_tol, tol)
         return [
             _Case(
                 f"{kind} A={a:.3g} B={b_arg:.3g} C={c:.3g} D={d:.3g}",
                 {"A": a, "B": b_arg, "C": c, "D": d, "kind": kind},
-                partial(check, a, b_arg, c, d),
+                partial(check, partial(six_nine_bindings, a, b_arg, c, d, m)),
             )
             for kind, (a, b_arg, c, d) in entries
         ]
@@ -573,7 +525,6 @@ def run_q_binomial(
     alpha=DEFAULT_ALPHA,
     tol: float = 1e-6,
     cfg: EvalConfig | None = None,
-    seed=None,
 ) -> SuiteReport:
     """Binomial expansion of (U1+V1)^{is} against the divided-power symbol."""
     rel_tol = _REL_TOL["q-binomial"]
@@ -585,19 +536,20 @@ def run_q_binomial(
     ]
 
     def cases(m):
-        spec, target = qbinomial_integral().spec(), qbinomial_target()
+        target = qbinomial_target()
         static = (kac_lhs().symbol, target)
+        check = partial(_identity_check, qbinomial_integral().spec(),
+                        target.evaluate_steps, m, cfg, rel_tol, tol)
 
-        def check(s, al, u):
+        def bind(s, al, u):
             params = checked_rep_params(static, m.b, alpha=al, s=s, u_samples=(u,))
-            lhs, rhs, res = yield from rep_law_steps(spec, target, params, u, cfg, rel_tol)
-            return _compare(lhs, rhs, tol, res)
+            return rep_bindings(params, u)
 
         return [
             _Case(
                 f"s={s} alpha={al} u={u}",
                 {"s": s, "alpha": al, "u": u},
-                partial(check, s, al, u),
+                partial(check, partial(bind, s, al, u)),
             )
             for s, al, u in tuples
         ]
@@ -633,7 +585,6 @@ def run_kac(
     alpha=None,
     tol: float = 1e-5,
     cfg: EvalConfig | None = None,
-    seed=None,
     tuples=None,
 ) -> SuiteReport:
     """Composed E o F against its contour-integral expansion.
@@ -648,19 +599,20 @@ def run_kac(
         tuples = [(s, t, alpha, u) for s, t, _, u in tuples]
 
     def cases(m):
-        spec, product = kac_rhs_integral().spec(), kac_lhs().symbol
+        product = kac_lhs().symbol
         static = (product, qbinomial_target())
+        check = partial(_identity_check, kac_rhs_integral().spec(),
+                        product.evaluate_steps, m, cfg, rel_tol, tol)
 
-        def check(s, t, al, u):
+        def bind(s, t, al, u):
             params = checked_rep_params(static, m.b, alpha=al, s=s, t=t, u_samples=(u,))
-            lhs, rhs, res = yield from rep_law_steps(spec, product, params, u, cfg, rel_tol)
-            return _compare(lhs, rhs, tol, res)
+            return rep_bindings(params, u)
 
         return [
             _Case(
                 f"s={s} t={t} alpha={al} u={u}",
                 {"s": s, "t": t, "alpha": al, "u": u},
-                partial(check, s, t, al, u),
+                partial(check, partial(bind, s, t, al, u)),
             )
             for s, t, al, u in tuples
         ]
@@ -726,7 +678,6 @@ def run_consistency(
     alpha=DEFAULT_ALPHA,
     tol=None,
     cfg: EvalConfig | None = None,
-    seed=None,
 ) -> SuiteReport:
     """Same quantities under different numerics must agree within estimates.
 
@@ -766,9 +717,9 @@ def run_consistency(
 
         families = (
             ("tau-binomial", tau_binomial_integrand(),
-             {"Q": m.Q, "alpha": m.Q / 6, "beta": m.Q / 6}),
+             tau_binomial_bindings(m.Q / 6, m.Q / 6, m)),
             ("six-nine", six_nine_integrand(),
-             {"Q": m.Q, "A": m.Q / 6, "B": m.Q / 7, "C": m.Q / 9, "D": m.Q / 4 + 0.1j}),
+             six_nine_bindings(m.Q / 6, m.Q / 7, m.Q / 9, m.Q / 4 + 0.1j, m)),
             ("q-binomial", qbinomial_integral().spec(), rep(alpha=alpha, s=0.4)),
             ("kac", kac_rhs_integral().spec(), rep(alpha=0.5, s=0.3, t=0.2)),
         )
@@ -820,10 +771,15 @@ def run_suite(
     grid: str = "default",
     cfg: EvalConfig | None = None,
 ) -> SuiteReport:
-    """Dispatch one named suite with per-suite defaults for omitted options."""
+    """Dispatch one named suite with per-suite defaults for omitted options.
+
+    A seed for a suite that draws nothing is refused, not ignored.
+    """
     suite = _TABLE[name]
     if grid not in ("default", "small"):
         raise ValueError(f"unknown grid {grid!r}")
+    if seed is not None and "seed" not in inspect.signature(suite.run).parameters:
+        raise ValueError(f"suite {name!r} draws nothing at random and takes no seed")
     given = {
         "b": b,
         "alpha": alpha,

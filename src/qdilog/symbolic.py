@@ -51,6 +51,8 @@ __all__ = [
     "IntegrandSpec",
 ]
 
+_DEFAULT_CFG = EvalConfig()
+
 
 @total_ordering
 class GaussRat:
@@ -585,22 +587,62 @@ class BoundSymbol:
 
 
 def run_steps(steps):
-    """Run a step generator alone and return its result.
+    """Run a step generator alone and return its result, or raise its
+    exception (the lockstep driver on one generator)."""
+    (result,) = _lockstep([steps])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    Each (points, modulus, config) request it yields is answered by one
-    gb_eval_many call on exactly those points; an exception from that call
-    is thrown into the generator at the request.
+
+def _lockstep(jobs: list) -> list:
+    """Results of step generators run together; a generator that raised
+    has its exception as its result.
+
+    Each round, the G_b requests of every live generator go into one
+    gb_eval_many call per (modulus, config), and each generator is sent
+    its own slice of the values.  If that call raises, each request is
+    evaluated alone and only the generators whose own request raised get
+    the exception thrown in.
     """
-    answer = failure = None
-    while True:
+    results = [None] * len(jobs)
+    live = {}
+
+    def advance(k, answer):
         try:
-            request = steps.send(answer) if failure is None else steps.throw(failure)
+            if isinstance(answer, Exception):
+                live[k] = jobs[k].throw(answer)
+            else:
+                live[k] = jobs[k].send(answer)
         except StopIteration as stop:
-            return stop.value
-        try:
-            answer, failure = gb_eval_many(*request), None
+            results[k] = stop.value
         except Exception as exc:
-            answer, failure = None, exc
+            results[k] = exc
+
+    for k in range(len(jobs)):
+        advance(k, None)
+    while live:
+        asked, live = live, {}
+        groups = {}
+        for k, (zs, m, cfg) in asked.items():
+            groups.setdefault((m, cfg or _DEFAULT_CFG), []).append(k)
+        for (m, cfg), ks in groups.items():
+            for k, answer in zip(ks, _answer([asked[k][0] for k in ks], m, cfg)):
+                advance(k, answer)
+    return results
+
+
+def _answer(point_sets: list, m: ModulusParam, cfg: EvalConfig) -> list:
+    """G_b values of each point set from one gb_eval_many call.  If that
+    call raises, a lone set gets its exception and each of several sets
+    gets the values or exception of a call of its own."""
+    try:
+        merged = gb_eval_many(np.concatenate(point_sets), m, cfg)
+    except Exception as exc:
+        if len(point_sets) == 1:
+            return [exc]
+        return [_answer([zs], m, cfg)[0] for zs in point_sets]
+    return np.split(merged, np.cumsum([len(zs) for zs in point_sets])[:-1])
 
 
 def _check_reciprocals(exponents, args, vals: np.ndarray, m: ModulusParam) -> None:

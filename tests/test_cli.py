@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report formats, config handling."""
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -377,7 +378,7 @@ def test_rel_tol_outside_its_domain_is_unsupported(monkeypatch, capsys, argv):
     def unreachable(*args, **kwargs):
         raise AssertionError("a case ran")
 
-    monkeypatch.setattr(suites, "tau_binomial_steps", unreachable)
+    monkeypatch.setattr(suites, "identity_steps", unreachable)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_UNSUPPORTED
     assert out == ""
@@ -485,6 +486,22 @@ def test_alpha_and_seed_default_to_the_suites_own(capsys):
     assert json.loads(out)["seed"] is None
 
 
+def test_a_seed_for_a_suite_that_draws_nothing_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "reflection", "--seed", "5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: suite 'reflection' draws nothing at random")
+
+
+def test_only_the_suites_that_draw_take_a_seed():
+    seeded = {name for name, run_it in suites.SUITES.items()
+              if "seed" in inspect.signature(run_it).parameters}
+    assert seeded == {"six-nine", "theorem31-exact"}
+    for name in sorted(suites.SUITES.keys() - seeded):
+        with pytest.raises(ValueError, match="takes no seed"):
+            suites.run_suite(name, seed=5)
+
+
 def test_rel_tol_reaches_the_evaluator(capsys):
     z = 0.5 + 0.2j
     code, out, _ = run(
@@ -511,7 +528,7 @@ def test_raising_case_becomes_a_failed_error_case(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("injected")
 
-    monkeypatch.setattr(suites, "tau_binomial_steps", broken)
+    monkeypatch.setattr(suites, "identity_steps", broken)
     code, out, _ = run(
         capsys, "verify", "--suite", "tau-binomial", "--grid", "small",
         "--format", "json",
@@ -526,14 +543,14 @@ def test_raising_case_becomes_a_failed_error_case(monkeypatch, capsys):
 
 
 def test_every_case_runs_on_the_calling_thread(monkeypatch, capsys):
-    steps = suites.tau_binomial_steps
+    steps = suites.identity_steps
     seen = []
 
     def recording(*args, **kwargs):
         seen.append(threading.get_ident())
         return (yield from steps(*args, **kwargs))
 
-    monkeypatch.setattr(suites, "tau_binomial_steps", recording)
+    monkeypatch.setattr(suites, "identity_steps", recording)
     code, _, _ = run(
         capsys, "verify", "--suite", "tau-binomial", "--grid", "small",
         "--threads", "4",

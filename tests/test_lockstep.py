@@ -1,8 +1,10 @@
 """The contour suites run their cases in lockstep.
 
 Each quadrature round of a suite sends every live case's G_b points in one
-gb_eval_many call; the public single-case functions drive their own steps
-alone and give the same bits as when every case integrated by itself.
+gb_eval_many call.  The public single-case functions run the same driver on
+their one step generator (run_steps), so each of their calls holds only
+their own points, and they give the same bits as when every case
+integrated by itself.
 """
 
 import contextlib
@@ -77,14 +79,15 @@ def test_single_case_functions_keep_their_bits(b_text):
 
 
 def _counting(monkeypatch, fail_near=None):
-    """Count gb_eval_many calls at every name the package calls it by; with
-    fail_near, raise PoleProximityError for a request holding that point."""
+    """Record the points of each gb_eval_many call at every name the package
+    calls it by; with fail_near, raise PoleProximityError for a request
+    holding that point."""
     calls = []
     original = core.gb_eval_many
 
     def counting(zs, *args, **kwargs):
-        calls.append(len(zs))
         zs = np.asarray(zs)
+        calls.append(zs)
         if fail_near is not None and (np.abs(zs - fail_near) < 1e-12).any():
             raise PoleProximityError(fail_near, fail_near, 0.0)
         return original(zs, *args, **kwargs)
@@ -123,6 +126,28 @@ def test_a_raising_request_fails_only_its_case(monkeypatch):
     assert [(c.inputs["alpha"], c.inputs["beta"]) for c in failed] == [(a, be)]
     assert failed[0].flags == ("error",) and failed[0].detail == detail
     assert len(rep.cases) == 4
+
+
+def test_a_lone_failing_request_is_evaluated_once(monkeypatch):
+    # With one case, a round's merged call holds that case's points alone:
+    # when it raises, the case gets its exception and the call is not made
+    # again.
+    m = as_modulus(0.8)
+    a = be = m.Q / 12
+    poison = a + be  # only the closed form asks for it
+    calls = _counting(monkeypatch, fail_near=poison)
+    rep = suites.run_tau_binomial(n=1)
+    holding = [zs for zs in calls if (np.abs(zs - poison) < 1e-12).any()]
+    assert len(holding) == 1
+    assert len(rep.cases) == 1
+    assert rep.cases[0].detail.startswith("PoleProximityError: ")
+
+
+def test_a_refused_label_fails_only_its_own_case():
+    # s = 1e-4 drags a dilogarithm argument onto the pole lattice.
+    rep = suites.run_kac(tuples=[(1e-4, 0.2, 0.5, 0.1), (0.3, 0.2, 0.5, 0.1)])
+    assert [c.passed for c in rep.cases] == [False, True]
+    assert rep.cases[0].detail.startswith("DegenerateParameterError: ")
 
 
 def _kac_report() -> dict:
