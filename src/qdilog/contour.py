@@ -11,11 +11,11 @@ when fans touch the axis from both sides the line is bent around individual
 points with small semicircles.
 
 One function, _pole_set, lists the poles that survive cancellation in a
-horizontal band as arrays (point, weight, direction).  Planning reads the
-gap edges and the cluster near the midline from one such set; integration
-validates its path, at every truncation, against another.  The vertical
-asymptotics of G_b fix the tail decay and the local oscillation rate used
-to size panels.
+horizontal band as arrays (point, weight, direction).  An integral builds
+one such set (_surviving): planning reads the gap edges and the cluster
+near the midline from it, and integration validates its path, at every
+truncation, against the same set.  The vertical asymptotics of G_b fix the
+tail decay and the local oscillation rate used to size panels.
 
 integrate_contour_steps is the integration as a step generator: it binds
 the integrand to floats once, reads the fans from the bound factors, then
@@ -240,16 +240,27 @@ def plan_contour(
     is enclosed by a semicircle whose radius is a quarter of the smallest
     distance between the nearby poles.
     """
-    return _plan(*pole_sequences(spec, bindings, b))
+    return _plan(_surviving(*pole_sequences(spec, bindings, b)))
 
 
-def _plan(poles, zeros) -> ContourSpec:
-    """plan_contour from the integrand's pole and zero fans."""
-    base_ims = [s.base.imag for s in poles]
-    pts, _, dirs = _pole_set(
-        poles, zeros, min(base_ims, default=0.0) - _DEPTH,
-        max(base_ims, default=0.0) + _DEPTH,
-    )
+def _surviving(poles, zeros, contour: ContourSpec | None = None):
+    """The one _pole_set of an integral: over the fan bases +- _DEPTH, and
+    for a given contour out to its baseline +- (1 + its largest bump).  A
+    descending fan point lies at or below its base and an ascending one at
+    or above, and a planned path within _DEPTH - 0.5 of the bases, so the
+    path passes every pole outside on the pole's own side."""
+    ims = [s.base.imag for s in poles] or [0.0]
+    im_lo, im_hi = min(ims) - _DEPTH, max(ims) + _DEPTH
+    if contour is not None:
+        reach = 1.0 + max((bmp.radius for bmp in contour.indentations), default=0.0)
+        im_lo = min(im_lo, contour.baseline - reach)
+        im_hi = max(im_hi, contour.baseline + reach)
+    return _pole_set(poles, zeros, im_lo, im_hi)
+
+
+def _plan(surviving) -> ContourSpec:
+    """plan_contour from the integrand's surviving poles (see _surviving)."""
+    pts, _, dirs = surviving
     lo = float(pts.imag[dirs < 0].max(initial=-math.inf))
     hi = float(pts.imag[dirs > 0].min(initial=math.inf))
 
@@ -381,18 +392,10 @@ def _path_im(contour: ContourSpec, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _misplaced_poles(contour: ContourSpec, poles, zeros):
-    """Surviving poles not strictly on their fan's side of the path.
-
-    The band reaches 1 past the baseline and the fan bases on each side,
-    plus the largest bump, so it holds every pole that the path could pass
-    on the wrong side.  Returns (points, directions) in fan order.
-    """
-    y0 = contour.baseline
-    rmax = max((bmp.radius for bmp in contour.indentations), default=0.0)
-    im_hi = max([y0] + [s.base.imag for s in poles if s.direction < 0]) + 1.0
-    im_lo = min([y0] + [s.base.imag for s in poles if s.direction > 0]) - 1.0
-    pts, _, dirs = _pole_set(poles, zeros, im_lo - rmax, im_hi + rmax)
+def _misplaced_poles(contour: ContourSpec, surviving):
+    """Surviving poles (see _surviving) not strictly on their fan's side of
+    the path, as (points, directions) in fan order."""
+    pts, _, dirs = surviving
     margin = 1e-9 * (1.0 + np.abs(pts))
     path_y = _path_im(contour, pts.real)
     wrong = np.where(
@@ -488,9 +491,9 @@ def integrate_contour_steps(
     rel_tol = cfg.rel_tol if rel_tol is None else rel_tol
     # The integrand's floats, computed once for the plan and every round.
     bound = spec.symbol.bind(spec.var, bindings, m, cfg)
-    poles, zeros = _fans(bound.factors, m)
+    surviving = _surviving(*_fans(bound.factors, m), contour)
     if contour is None:
-        contour = _plan(poles, zeros)
+        contour = _plan(surviving)
     y0 = contour.baseline
 
     coeffs = {d: _direction_coeffs(bound, d) for d in (+1, -1)}
@@ -505,7 +508,7 @@ def integrate_contour_steps(
 
     f = bound.steps
 
-    misplaced = _misplaced_poles(contour, poles, zeros)
+    misplaced = _misplaced_poles(contour, surviving)
     # This window also covers the probes, so a handed-in contour that sits
     # on a pole is refused as unsupported rather than tripping the evaluator.
     _validate(misplaced, max(t_left, 1.0), max(t_right, 1.0))

@@ -628,9 +628,10 @@ def _distinct(z: np.ndarray):
 def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     """G_b at many points, sharing reductions and strip batches.
 
-    The distinct points are reduced into the strip by one array reduction
-    per call, and the distinct reduced points are summed together, so the
-    values depend only on this call's arguments.
+    zs may have any shape, and the values have its shape (a scalar for a
+    scalar, as a ufunc gives).  The points are reduced into the strip by
+    one array reduction per call, and the distinct reduced points are
+    summed together, so the values depend only on this call's arguments.
     Raises ParameterDomainError at a non-finite argument, PoleProximityError
     within 1e-12 of a pole, and returns exactly 0 within 1e-12 of a zero and
     nowhere else.  Never returns NaN, infinity, a subnormal or an underflowed
@@ -644,6 +645,7 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
     zs = np.asarray(zs, dtype=complex)
+    shape, zs = zs.shape, zs.ravel()
     finite = np.isfinite(zs)
     if not finite.all():
         z = complex(zs[~finite][0])
@@ -665,16 +667,15 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
             f"{int(abs(z.real - 0.5 * m.Q.real) / big_step)} shift steps into "
             f"the strip; beyond {max_steps} {why}"
         )
-    pts, inverse = _distinct(zs)
-    pole, zero = _near_lattice(pts, m, _SNAP_EPS)
+    pole, zero = _near_lattice(zs, m, _SNAP_EPS)
     if pole.any():
-        z = complex(zs[pole[inverse]][0])
+        z = complex(zs[pole][0])
         _, _, p, d = nearest_lattice_point(-z, m)
         raise PoleProximityError(z, -p, d)
 
-    values = np.zeros(len(pts), dtype=complex)
+    values = np.zeros(len(zs), dtype=complex)
     todo = (~zero).nonzero()[0]
-    z0s, n1, n2 = _strip_reduce_many(pts[todo], m)
+    z0s, n1, n2 = _strip_reduce_many(zs[todo], m)
     z0s, at = _distinct(z0s)
     logs = log_gb_strip(z0s, m, cfg)
     # A far point's product or exponential may overflow or underflow; the
@@ -685,10 +686,10 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     bad = ~np.isfinite(values) | tiny
     if bad.any():
         raise UnsupportedParameterError(
-            f"G_b(z) at z = {complex(zs[bad[inverse]][0])}, b = {m.b} is not "
+            f"G_b(z) at z = {complex(zs[bad][0])}, b = {m.b} is not "
             f"finite or underflows in double precision"
         )
-    return values[inverse]
+    return values.reshape(shape)[()]
 
 
 def gb_eval(z: complex, b, cfg: EvalConfig | None = None) -> complex:

@@ -75,12 +75,6 @@ class Line:
     p0: complex
     p1: complex
 
-    def point(self, u: np.ndarray) -> np.ndarray:
-        return self.p0 + (self.p1 - self.p0) * u
-
-    def tangent(self, u: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(u, dtype=complex), self.p1 - self.p0)
-
 
 @dataclass(frozen=True)
 class Arc:

@@ -12,18 +12,19 @@ A suite is data: its run_* function lays out cases (label, inputs and a
 callable that runs both routes and judges them) for the resolved modulus,
 building its integrand symbols once, and the one runner, _run, times the
 suite, runs the cases and builds the report.  Everything runs on the
-calling thread.  Plain cases run in case-index order.  Every case of the
-contour suites is one _identity_check, a step generator (see
-BoundSymbol.steps) of an integral against its closed form; these then run
-in lockstep (symbolic._lockstep): each round, every live case's G_b points
-go into one gb_eval_many call per modulus and config, so a suite makes
-about as many calls as its slowest case has rounds.  Values from a merged
-call can differ from a case's own call in the last bits, because the strip
-sum of a batch depends on the batch; the public single-case functions run
-the same driver on their one generator (run_steps) and keep their bits.
-Errors raised while laying out the cases propagate; an error inside a case
-fails that case, and in a merged call only the case whose own points
-raise.
+calling thread.  Plain cases run in case-index order.  Every numeric suite
+asks for G_b through step generators (see BoundSymbol.steps): a contour
+case is one _identity_check, an integral against its closed form, and
+cases that share one batch share one generator (_shared).  These run in
+lockstep (symbolic._lockstep): each round, every live generator's G_b
+points go into one gb_eval_many call per modulus and config, so a suite
+makes about as many calls as its slowest case has rounds.  Values from a
+merged call can differ from a case's own call in the last bits, because
+the strip sum of a batch depends on the batch; the public single-case
+functions run the same driver on their one generator (run_steps) and keep
+their bits.  Errors raised while laying out the cases propagate; an error
+inside a case fails that case, and in a merged call only the case whose
+own points raise.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from .core import (
     EvalConfig,
     as_modulus,
     func_eq_general,
-    gb_eval,
-    gb_eval_many,
     gb_product_oracle,
     pole_limit,
     reduction_correction,
@@ -81,9 +80,10 @@ from .operators import (
 from .reports import CaseResult, SuiteReport
 from .symbolic import _lockstep
 
-# The suites run the step forms of these; perfbench/tracing.py rebinds the
-# names in this module, so they stay bound.
+# The suites run the step forms of these and ask G_b of the lockstep driver;
+# perfbench/tracing.py rebinds the names in this module, so they stay bound.
 from .contour import integrate_contour  # noqa: F401
+from .core import gb_eval_many  # noqa: F401
 from .identities import six_nine_check, tau_binomial_check  # noqa: F401
 from .operators import kac_values, qbinomial_value  # noqa: F401
 
@@ -119,8 +119,8 @@ class _Case:
 
     check() may instead return a step generator (see BoundSymbol.steps)
     whose result is those fields.  With part set, check's result is shared
-    with other cases and is a sequence whose item part is this case's
-    fields.
+    with other cases (see _shared) and is a sequence whose item part is
+    this case's fields, or the exception that only this case raised.
     """
 
     label: str
@@ -146,14 +146,14 @@ def _run(suite, b, cases, *, alpha, tol, config, seed=None) -> SuiteReport:
     for index, (case, outcome) in enumerate(zip(laid, outcomes)):
         if inspect.isgenerator(outcome):
             outcome = finished[outcome]
+        if case.part is not None and not isinstance(outcome, Exception):
+            outcome = outcome[case.part]
         if isinstance(outcome, Exception):  # honest failure, not a crash
             outcome = {
                 "passed": False,
                 "flags": ("error",),
                 "detail": f"{type(outcome).__name__}: {outcome}",
             }
-        elif case.part is not None:
-            outcome = outcome[case.part]
         fields = {"inputs": case.inputs, **outcome}
         results.append(CaseResult(index=index, label=case.label, **fields))
     return SuiteReport(
@@ -176,19 +176,14 @@ def _result(fn: Callable):
         return exc
 
 
-def _once(fn: Callable):
-    """fn, called at most once: later calls return its value again, or
-    raise its exception again."""
-    memo = []
-
-    def call():
-        if not memo:
-            memo.append(_result(fn))
-        if isinstance(memo[0], Exception):
-            raise memo[0]
-        return memo[0]
-
-    return call
+def _shared(steps, layout) -> list:
+    """Cases, one per (label, inputs) of layout, that share the step
+    generator steps: case k's fields are item k of its result, and an
+    exception it raises fails every case with one detail."""
+    return [
+        _Case(label, inputs, lambda: steps, part=k)
+        for k, (label, inputs) in enumerate(layout)
+    ]
 
 
 def _contour_meta(res) -> dict:
@@ -248,18 +243,17 @@ def run_reflection(
         xs = [req * (i + 0.5) / n for i in range(n)]
         ys = [-0.9 + 1.8 * j / max(n - 1, 1) for j in range(n)]
         zs = np.array([x + 1j * y for x in xs for y in ys])
-        # One batched call, made by the first case: a failed evaluation
-        # fails every case, with one detail, and not the layout.
-        g = _once(partial(gb_eval_many, np.concatenate([zs, m.Q - zs]), m, cfg))
 
-        def check(k, z):
-            rhs = np.exp(1j * math.pi * z * (z - m.Q))
-            return _compare(g()[k] * g()[len(zs) + k], rhs, tol)
+        def steps():
+            g = yield np.concatenate([zs, m.Q - zs]), m, cfg
+            return [
+                _compare(g[k] * g[len(zs) + k], np.exp(1j * math.pi * z * (z - m.Q)), tol)
+                for k, z in enumerate(zs)
+            ]
 
-        return [
-            _Case(f"z={z:.6g}", {"z": complex(z)}, partial(check, k, z))
-            for k, z in enumerate(zs)
-        ]
+        # One batched request: a failed evaluation fails every case, with
+        # one detail, and not the layout.
+        return _shared(steps(), [(f"z={z:.6g}", {"z": complex(z)}) for z in zs])
 
     return _run("reflection", b, cases, alpha=alpha, tol=tol, config={"n": n})
 
@@ -281,21 +275,19 @@ def run_funceq(
     def cases(m):
         z0s = [complex(f * m.Q.real, y) for f, y in _FUNCEQ_POINTS]
         shifted = [z + n1 * m.b + n2 * m.b_inv for z in z0s for n1, n2 in orders]
-        g = _once(partial(gb_eval_many, np.array(z0s + shifted), m, cfg))
-
-        def check(k, iz, n1, n2):
-            rhs = func_eq_general(z0s[iz], n1, n2, m) * g()[iz]
-            return _compare(g()[len(z0s) + k], rhs, tol)
-
         grid = [(iz, z, n1, n2) for iz, z in enumerate(z0s) for n1, n2 in orders]
-        return [
-            _Case(
-                f"z={z:.4g} shift=({n1},{n2})",
-                {"z": z, "n1": n1, "n2": n2},
-                partial(check, k, iz, n1, n2),
-            )
-            for k, (iz, z, n1, n2) in enumerate(grid)
-        ]
+
+        def steps():
+            g = yield np.array(z0s + shifted), m, cfg
+            return [
+                _compare(g[len(z0s) + k], func_eq_general(z, n1, n2, m) * g[iz], tol)
+                for k, (iz, z, n1, n2) in enumerate(grid)
+            ]
+
+        return _shared(steps(), [
+            (f"z={z:.4g} shift=({n1},{n2})", {"z": z, "n1": n1, "n2": n2})
+            for _, z, n1, n2 in grid
+        ])
 
     config = {"max_order": max_order, "n_points": len(_FUNCEQ_POINTS)}
     return _run("funceq", b, cases, alpha=alpha, tol=tol, config=config)
@@ -318,15 +310,17 @@ def run_product_oracle(
             )
         req = m.Q.real
         xs = np.array([req * (k + 0.5) / n for k in range(n)])
-        lhs = _once(partial(gb_eval_many, xs, m, cfg))
 
-        def check(k, x):
-            return _compare(lhs()[k], gb_product_oracle(complex(x), m), tol)
+        def steps():
+            lhs = yield xs, m, cfg
+            # The oracle runs per case, so a point it refuses fails only
+            # its own case.
+            return [
+                _result(lambda: _compare(v, gb_product_oracle(complex(x), m), tol))
+                for v, x in zip(lhs, xs)
+            ]
 
-        return [
-            _Case(f"x={x:.6g}", {"x": complex(x)}, partial(check, k, x))
-            for k, x in enumerate(xs)
-        ]
+        return _shared(steps(), [(f"x={x:.6g}", {"x": complex(x)}) for x in xs])
 
     return _run("product-oracle", b, cases, alpha=alpha, tol=tol, config={"n": n})
 
@@ -353,7 +347,8 @@ def run_pole_limits(
         )
 
         def check(shift, op, target):
-            f = [op(x, gb_eval(x + shift, m, cfg)) for x in probes]
+            g = yield np.array([x + shift for x in probes]), m, cfg
+            f = [op(x, complex(v)) for x, v in zip(probes, g)]
             return _compare((10.0 * f[1] - f[0]) / 9.0, target, tol)
 
         # The closed forms are evaluated here, so a resonant modulus is
@@ -689,27 +684,32 @@ def run_consistency(
     cfg = cfg or EvalConfig()
 
     def cases(m):
+        z = 0.3 * m.Q.real + 0.2j
+
+        def strip(variant):
+            # Both strip checks ask for z at cfg in the first round, where
+            # their requests merge and gb_eval_many sums z once.
+            (v0,) = yield np.array([z]), m, cfg
+            (v,) = yield np.array([z]), m, variant
+            return _compare(complex(v0), complex(v), 2 * cfg.rel_tol)
+
         # zr lies 3.5 large steps right of the band's middle, so -n1, -n2
         # are the shift equation's nonnegative counts and, at every b != 1,
         # the walk takes three large steps and at least one small one (at
-        # b = 0.8, zr = 5.4+0.35i).  The first case that asks computes v0
-        # and red, so a failed evaluation fails cases and not the layout.
-        z = 0.3 * m.Q.real + 0.2j
+        # b = 0.8, zr = 5.4+0.35i).
         zr = 0.5 * m.Q.real + 3.5 * max(m.b.real, m.b_inv.real) + 0.35j
-        v0 = _once(partial(gb_eval, z, m, cfg))
-        red = _once(partial(strip_reduce, zr, m))
-        strip = (
-            ("strip truncation-margin +1 decade", z, 2 * cfg.rel_tol, lambda: (
-                v0(), gb_eval(z, m, replace(cfg, trunc_margin=cfg.trunc_margin + 1.0)))),
-            ("strip extended precision", z, 2 * cfg.rel_tol, lambda: (
-                v0(), gb_eval(z, m, replace(cfg, precision="extended")))),
-            ("reduction walk vs shift equation", zr, 1e-12, lambda: (
-                reduction_correction(red(), m),
-                func_eq_general(red().z0, -red().n1, -red().n2, m))),
-        )
+
+        def walk():
+            red = strip_reduce(zr, m)
+            shift_eq = func_eq_general(red.z0, -red.n1, -red.n2, m)
+            return _compare(reduction_correction(red, m), shift_eq, 1e-12)
+
         out = [
-            _Case(label, {"z": at}, lambda r=routes, tol=tol: _compare(*r(), tol))
-            for label, at, tol, routes in strip
+            _Case("strip truncation-margin +1 decade", {"z": z}, partial(
+                strip, replace(cfg, trunc_margin=cfg.trunc_margin + 1.0))),
+            _Case("strip extended precision", {"z": z}, partial(
+                strip, replace(cfg, precision="extended"))),
+            _Case("reduction walk vs shift equation", {"z": zr}, walk),
         ]
 
         def rep(**labels):
@@ -727,10 +727,8 @@ def run_consistency(
             # The pair's two cases share one generator, so the base value is
             # integrated once.
             pair = _consistency_pair(spec, bindings, m, cfg, _REL_TOL[family])
-            out += [
-                _Case(f"{family} {variant}", {}, lambda pair=pair: pair, part=k)
-                for k, variant in enumerate(("contour-deformed", "truncation-doubled"))
-            ]
+            variants = ("contour-deformed", "truncation-doubled")
+            out += _shared(pair, [(f"{family} {v}", {}) for v in variants])
         return out
 
     return _run("consistency", b, cases, alpha=alpha, tol=None, config={})

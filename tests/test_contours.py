@@ -207,6 +207,20 @@ def test_inverted_fans_are_refused():
         plan_contour(tau_binomial_integrand(), tb_bindings(-0.3, M8.Q / 6), M8)
 
 
+def test_a_planned_integral_builds_one_pole_set(monkeypatch):
+    # Planning and path validation read the same set.
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return _pole_set(*args)
+
+    monkeypatch.setattr(contour, "_pole_set", counting)
+    alpha = M8.Q / 6
+    integrate_contour(tau_binomial_integrand(), tb_bindings(alpha, alpha), M8)
+    assert len(built) == 1
+
+
 def test_handed_in_contour_on_a_pole_is_refused():
     alpha = M8.Q / 6
     bad = ContourSpec(baseline=float(alpha.real))

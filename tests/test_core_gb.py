@@ -32,6 +32,7 @@ from qdilog.errors import (
     DegenerateParameterError,
     ParameterDomainError,
     PoleProximityError,
+    StripDomainError,
     UnsupportedParameterError,
 )
 from qdilog.quadrature import Arc, Line, integrate_batch
@@ -79,6 +80,11 @@ def test_shift_equation_general(n1, n2):
 def test_func_eq_rejects_negative_counts():
     with pytest.raises(ValueError):
         func_eq_general(0.5, -1, 0, 0.8)
+    # So do the residue limits, whose indices count the same shifts.
+    for limit in (pole_limit, zero_limit):
+        for n1, n2 in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                limit(n1, n2, 0.8)
 
 
 def test_product_oracle_cross_route():
@@ -435,6 +441,16 @@ def test_asymptotic_direction_values_disagree_off_axis():
     up = gb_asymptotic(z, m, "up")
     dn = gb_asymptotic(z, m, "down")
     assert rel(up, dn) > 1e-2
+    with pytest.raises(ValueError, match="direction"):
+        gb_asymptotic(z, m, "sideways")
+
+
+@pytest.mark.parametrize("re_z", [0.0, -0.3, 0.8 + 1 / 0.8, 4.0])
+def test_strip_sum_refuses_points_off_the_open_strip(re_z):
+    # The strip sum does no reduction: a point on an edge or outside is a
+    # typed error, even beside a good one.
+    with pytest.raises(StripDomainError, match="open strip"):
+        core.log_gb_strip([1.0 + 0.2j, re_z + 0.2j], 0.8)
 
 
 def test_extended_precision_agrees_with_standard():
@@ -700,6 +716,33 @@ def test_eval_many_matches_scalar_eval():
     batch = gb_eval_many(zs, m)
     for z, v in zip(zs, batch):
         assert rel(v, gb_eval(z, m)) < 1e-12
+
+
+def test_eval_many_gives_each_point_the_bits_of_the_plain_call(monkeypatch):
+    # Permuted, repeated, with a zero of G_b and points a walk away: each
+    # value keeps its bits, and the call sorts once, by reduced point.
+    m = as_modulus(0.8)
+    zs = np.array([0.3 * m.Q + 0.1j, 2.9 + 0.4j, m.Q + m.b, -1.7 - 0.2j, 0.6 * m.Q])
+    plain = gb_eval_many(zs, m)
+    sorts = []
+    distinct = core._distinct
+    monkeypatch.setattr(core, "_distinct", lambda z: sorts.append(z) or distinct(z))
+    idx = [3, 1, 1, 4, 2, 0, 3, 2, 0]
+    assert gb_eval_many(zs[idx], m).tobytes() == plain[idx].tobytes()
+    assert len(sorts) == 1 and plain[2] == 0
+
+
+def test_eval_many_keeps_the_shape_of_its_input():
+    # As a ufunc: a scalar gives a scalar, an array its own shape.
+    m = as_modulus(0.8)
+    grid = np.array([[0.5, 0.6 - 0.2j, 0.7], [1.1 + 0.3j, 0.5, m.Q]])
+    flat = gb_eval_many(grid.ravel(), m)
+    assert gb_eval_many(grid, m).tobytes() == flat.reshape(2, 3).tobytes()
+    one = gb_eval_many(0.5, m)
+    assert np.shape(one) == () and one == flat[0]
+    assert gb_eval_many(np.array(0.5), m) == flat[0]
+    with pytest.raises(PoleProximityError):
+        gb_eval_many([[0.5, 0.6], [0.0, 0.7]], m)
 
 
 def test_modulus_rejects_degenerate_b():

@@ -1,6 +1,6 @@
-"""The contour suites run their cases in lockstep.
+"""Every numeric suite runs its cases in lockstep.
 
-Each quadrature round of a suite sends every live case's G_b points in one
+Each round of a suite sends every live case's G_b points in one
 gb_eval_many call.  The public single-case functions run the same driver on
 their one step generator (run_steps), so each of their calls holds only
 their own points, and they give the same bits as when every case
@@ -21,7 +21,7 @@ import pytest
 import qdilog
 from qdilog import cli, core, identities, suites, symbolic
 from qdilog.core import as_modulus
-from qdilog.errors import PoleProximityError
+from qdilog.errors import PoleProximityError, UnsupportedParameterError
 from qdilog.identities import six_nine_check, tau_binomial_check, tau_binomial_integrand
 from qdilog.operators import kac_values, make_rep_params, qbinomial_value
 from qdilog.quadrature import Arc, Line, integrate_batch
@@ -185,6 +185,57 @@ def test_a_failed_shared_batch_is_evaluated_once(monkeypatch):
     assert len(rep.cases) == 100
     assert len({c.detail for c in rep.cases}) == 1
     assert rep.cases[0].detail.startswith("ConvergenceError: ")
+
+
+def test_a_point_the_oracle_refuses_fails_only_its_case(monkeypatch):
+    # The product-oracle cases share one G_b request but run the oracle
+    # each on its own.
+    oracle = suites.gb_product_oracle
+
+    def picky(x, b):
+        if x.real < 0.2:
+            raise UnsupportedParameterError("refused")
+        return oracle(x, b)
+
+    monkeypatch.setattr(suites, "gb_product_oracle", picky)
+    rep = suites.run_product_oracle(n=6)
+    assert [c.passed for c in rep.cases] == [False] + [True] * 5
+    assert rep.cases[0].detail == "UnsupportedParameterError: refused"
+
+
+def test_every_numeric_suite_asks_g_b_only_of_the_lockstep_driver(monkeypatch):
+    # symbolic._answer keeps its gb_eval_many; every other name a suite
+    # could reach G_b by refuses.
+    def refuse(*args, **kwargs):
+        raise AssertionError("G_b asked outside the lockstep driver")
+
+    for mod in (core, suites):
+        monkeypatch.setattr(mod, "gb_eval_many", refuse)
+    for name in sorted(set(suites.SUITES) - {"theorem31-exact"}):
+        b = 0.6 + 0.1j if name == "product-oracle" else 0.8
+        rep = suites.run_suite(name, b=b, grid="small")
+        assert rep.cases and all(c.passed for c in rep.cases), name
+
+
+def test_pole_limits_asks_for_every_probe_in_one_call(monkeypatch):
+    calls = _counting(monkeypatch)
+    rep = suites.run_pole_limits(b=0.8)
+    assert len(rep.cases) == 6 and all(c.passed for c in rep.cases)
+    # 12 calls when each probe was evaluated by itself.
+    assert [len(zs) for zs in calls] == [12]
+
+
+def test_a_raising_strip_variant_fails_only_its_case(monkeypatch):
+    original = core.gb_eval_many
+
+    def no_extended(zs, b, cfg=None):
+        if cfg is not None and cfg.precision == "extended":
+            raise PoleProximityError(complex(zs[0]), complex(zs[0]), 0.0)
+        return original(zs, b, cfg)
+
+    monkeypatch.setattr(symbolic, "gb_eval_many", no_extended)
+    rep = suites.run_consistency()
+    assert [c.label for c in rep.cases if not c.passed] == ["strip extended precision"]
 
 
 if __name__ == "__main__":
