@@ -570,6 +570,18 @@ def _log_gb_strip_batch(
     return out
 
 
+def _points(zs, name: str) -> np.ndarray:
+    """zs read once, as a complex array; a ragged or non-numeric zs (strings,
+    None, other objects) raises ParameterDomainError naming the argument."""
+    try:
+        pts = np.asarray(zs)
+    except ValueError as exc:
+        raise ParameterDomainError(f"{name} must be a rectangular array: {exc}") from None
+    if pts.dtype.kind not in "iufc":
+        raise ParameterDomainError(f"{name} must be numeric, got values of dtype {pts.dtype}")
+    return pts.astype(complex, copy=False)
+
+
 def log_gb_strip(z0s, b, cfg: EvalConfig | None = None) -> np.ndarray:
     """log G_b on points of the open strip 0 < Re z < Re Q (no reduction).
 
@@ -580,7 +592,7 @@ def log_gb_strip(z0s, b, cfg: EvalConfig | None = None) -> np.ndarray:
     """
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
-    pts = np.atleast_1d(np.asarray(z0s, dtype=complex))
+    pts = np.atleast_1d(_points(z0s, "z0s"))
     if (pts.real <= 0).any() or (pts.real >= m.Q.real).any():
         raise StripDomainError("argument outside the open strip 0 < Re z < Re Q")
     out = np.empty(len(pts), dtype=complex)
@@ -632,7 +644,8 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     scalar, as a ufunc gives).  The points are reduced into the strip by
     one array reduction per call, and the distinct reduced points are
     summed together, so the values depend only on this call's arguments.
-    Raises ParameterDomainError at a non-finite argument, PoleProximityError
+    Raises ParameterDomainError at a ragged or non-numeric zs and at a
+    non-finite argument, PoleProximityError
     within 1e-12 of a pole, and returns exactly 0 within 1e-12 of a zero and
     nowhere else.  Never returns NaN, infinity, a subnormal or an underflowed
     0: where a value leaves the normal double range (far from the strip,
@@ -644,7 +657,7 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
     """
     m = as_modulus(b)
     cfg = cfg or _DEFAULT_CFG
-    zs = np.asarray(zs, dtype=complex)
+    zs = _points(zs, "zs")
     shape, zs = zs.shape, zs.ravel()
     finite = np.isfinite(zs)
     if not finite.all():
@@ -694,7 +707,10 @@ def gb_eval_many(zs, b, cfg: EvalConfig | None = None) -> np.ndarray:
 
 def gb_eval(z: complex, b, cfg: EvalConfig | None = None) -> complex:
     """G_b at one point; see gb_eval_many."""
-    return complex(gb_eval_many([z], b, cfg)[0])
+    z = _points(z, "z")
+    if z.shape:
+        raise ParameterDomainError(f"z must be one number, got an array of shape {z.shape}")
+    return complex(gb_eval_many(z, b, cfg))
 
 
 # ---------------------------------------------------------------------------

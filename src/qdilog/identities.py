@@ -11,20 +11,22 @@ directly in v = b*tau; the identity's measure is the measure of that same
 variable, and the engine value is the quoted value with no extra factor.
 The six-to-nine identity is stated in a bare tau, same story.
 
+Each identity is data: an integrand symbol, a bindings builder and a closed
+form that is an exact Symbol too, so the closed form of one identity can be
+substituted into and compared with another's by the exact algebra.
 identity_steps is the step form of every integral identity in the package:
-an integral at some bindings, then a closed form's step form at the same
-bindings.  Each identity here brings a bindings builder and a closed-form
-step function; the operator laws bring a symbol's evaluate_steps.
+an integral at some bindings, then the closed-form symbol's evaluate_steps
+at the same bindings; the operator laws use it with their own symbols.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .contour import integrate_contour_steps
 from .core import EvalConfig, ModulusParam, as_modulus
 from .symbolic import (
+    GaussExponent,
     GaussRat,
+    GbFactor,
     IntegrandSpec,
     Symbol,
     gauss_from_products,
@@ -41,11 +43,11 @@ __all__ = [
     "identity_steps",
     "tau_binomial_integrand",
     "tau_binomial_bindings",
-    "tau_binomial_closed_steps",
+    "tau_binomial_closed",
     "tau_binomial_check",
     "six_nine_integrand",
     "six_nine_bindings",
-    "six_nine_closed_steps",
+    "six_nine_closed",
     "six_nine_check",
 ]
 
@@ -55,19 +57,26 @@ _MINUS_I = GaussRat.of(-1j)
 
 def identity_steps(
     spec: IntegrandSpec,
-    closed,
+    closed: Symbol,
     bindings: dict,
     m: ModulusParam,
     cfg: EvalConfig | None = None,
     rel_tol: float | None = None,
 ):
     """Step form (see BoundSymbol.steps) of one integral identity: spec
-    integrated at bindings, then the step form closed(bindings, m, cfg) of
-    its closed form.  Returns (integral value, closed form,
-    IntegrationResult)."""
+    integrated at bindings, then the closed-form symbol closed evaluated at
+    the same bindings.  Returns (integral value, closed form,
+    IntegrationResult).  A closed form whose negative power sits on a zero
+    of G_b raises PoleProximityError."""
     res = yield from integrate_contour_steps(spec, bindings, m, cfg=cfg, rel_tol=rel_tol)
-    value = yield from closed(bindings, m, cfg)
+    value = yield from closed.evaluate_steps(bindings, m, cfg)
     return res.value, value, res
+
+
+def _ratio(num: tuple, den: tuple) -> Symbol:
+    """The product of G_b over the forms num divided by that over den."""
+    factors = [GbFactor(x, 1) for x in num] + [GbFactor(x, -1) for x in den]
+    return Symbol.make(GaussExponent.zero(), factors)
 
 
 def tau_binomial_integrand() -> IntegrandSpec:
@@ -87,11 +96,10 @@ def tau_binomial_bindings(alpha: complex, beta: complex, b) -> dict:
     return {"Q": as_modulus(b).Q, "alpha": complex(alpha), "beta": complex(beta)}
 
 
-def tau_binomial_closed_steps(bindings: dict, m: ModulusParam, cfg=None):
-    """Step form of G(alpha) G(beta) / G(alpha + beta)."""
-    alpha, beta = bindings["alpha"], bindings["beta"]
-    ga, gb_, gab = yield np.array([alpha, beta, alpha + beta], dtype=complex), m, cfg
-    return ga * gb_ / gab
+def tau_binomial_closed() -> Symbol:
+    """G(alpha) G(beta) / G(alpha + beta)."""
+    alpha, beta = gen("alpha"), gen("beta")
+    return _ratio((alpha, beta), (alpha + beta,))
 
 
 def tau_binomial_check(
@@ -108,7 +116,7 @@ def tau_binomial_check(
     """
     m = as_modulus(b)
     return run_steps(identity_steps(
-        tau_binomial_integrand(), tau_binomial_closed_steps,
+        tau_binomial_integrand(), tau_binomial_closed(),
         tau_binomial_bindings(alpha, beta, m), m, cfg, rel_tol,
     ))
 
@@ -143,15 +151,10 @@ def six_nine_bindings(a: complex, b_arg: complex, c: complex, d: complex, b) -> 
     }
 
 
-def six_nine_closed_steps(bindings: dict, m: ModulusParam, cfg=None):
-    """Step form of the six-over-three product of G values."""
-    a, b_arg, c, d = (bindings[k] for k in "ABCD")
-    args = np.array(
-        [a, b_arg, c, a + d, b_arg + d, c + d, a + b_arg + d, a + c + d, b_arg + c + d],
-        dtype=complex,
-    )
-    g = yield args, m, cfg
-    return (g[0] * g[1] * g[2] * g[3] * g[4] * g[5]) / (g[6] * g[7] * g[8])
+def six_nine_closed() -> Symbol:
+    """The six-over-three product of G values at (A, B, C, D)."""
+    a, bb, c, d = (gen(k) for k in "ABCD")
+    return _ratio((a, bb, c, a + d, bb + d, c + d), (a + bb + d, a + c + d, bb + c + d))
 
 
 def six_nine_check(
@@ -166,6 +169,6 @@ def six_nine_check(
     """(engine value, six-over-three product of G values, IntegrationResult)."""
     m = as_modulus(b)
     return run_steps(identity_steps(
-        six_nine_integrand(), six_nine_closed_steps,
+        six_nine_integrand(), six_nine_closed(),
         six_nine_bindings(a, b_arg, c, d, m), m, cfg, rel_tol,
     ))

@@ -461,7 +461,7 @@ def qbinomial_value(
 ) -> tuple:
     """(integral value, target, IntegrationResult) for the binomial expansion."""
     return run_steps(identity_steps(
-        qbinomial_integral(swapped=swapped).spec(), qbinomial_target().evaluate_steps,
+        qbinomial_integral(swapped=swapped).spec(), qbinomial_target(),
         rep_bindings(params, u_value), as_modulus(params.b), cfg, rel_tol,
     ))
 
@@ -474,6 +474,6 @@ def kac_values(
 ) -> tuple:
     """(integral value, product value, IntegrationResult) for the E o F law."""
     return run_steps(identity_steps(
-        kac_rhs_integral().spec(), kac_lhs().symbol.evaluate_steps,
+        kac_rhs_integral().spec(), kac_lhs().symbol,
         rep_bindings(params, u_value), as_modulus(params.b), cfg, rel_tol,
     ))

@@ -10,15 +10,19 @@ the reported error estimates.
 
 A suite is data: its run_* function lays out cases (label, inputs and a
 callable that runs both routes and judges them) for the resolved modulus,
-building its integrand symbols once, and the one runner, _run, times the
-suite, runs the cases and builds the report.  Everything runs on the
-calling thread.  Plain cases run in case-index order.  Every numeric suite
-asks for G_b through step generators (see BoundSymbol.steps): a contour
-case is one _identity_check, an integral against its closed form, and
-cases that share one batch share one generator (_shared).  These run in
-lockstep (symbolic._lockstep): each round, every live generator's G_b
-points go into one gb_eval_many call per modulus and config, so a suite
-makes about as many calls as its slowest case has rounds.  Values from a
+and the one runner, _run, times the suite, runs the cases and builds the
+report.  The four contour-identity families are one table, _FAMILIES:
+each family's integrand, its closed form (both exact symbols) and its
+outer rel_tol.  Their suites list only (label, inputs, bind) per case, and
+_run_family builds both symbols once per run and makes each case an
+integral against its closed form; the consistency suite reads the same
+table with bindings of its own.  Everything runs on the calling thread.
+Plain cases run in case-index order.  Every numeric suite asks for G_b
+through step generators (see BoundSymbol.steps), and cases that share one
+batch share one generator (_shared).  These run in lockstep
+(symbolic._lockstep): each round, every live generator's G_b points go
+into one gb_eval_many call per modulus and config, so a suite makes about
+as many calls as its slowest case has rounds.  Values from a
 merged call can differ from a case's own call in the last bits, because
 the strip sum of a batch depends on the batch; the public single-case
 functions run the same driver on their one generator (run_steps) and keep
@@ -55,10 +59,10 @@ from .errors import UnsupportedParameterError
 from .identities import (
     identity_steps,
     six_nine_bindings,
-    six_nine_closed_steps,
+    six_nine_closed,
     six_nine_integrand,
     tau_binomial_bindings,
-    tau_binomial_closed_steps,
+    tau_binomial_closed,
     tau_binomial_integrand,
 )
 from .operators import (
@@ -106,9 +110,14 @@ DEFAULT_B = 0.8
 DEFAULT_ALPHA = 0.5
 DEFAULT_SEED = 20260817
 
-# Relative tolerance of the outer contour integral of each identity family;
-# the family's suite and its consistency cases both use it.
-_REL_TOL = {"tau-binomial": 1e-8, "six-nine": 1e-7, "q-binomial": 1e-8, "kac": 1e-7}
+# Each contour-identity family's integrand builder, closed-form builder and
+# outer-integral rel_tol; its suite and its consistency cases both read them.
+_FAMILIES = {
+    "tau-binomial": (tau_binomial_integrand, tau_binomial_closed, 1e-8),
+    "six-nine": (six_nine_integrand, six_nine_closed, 1e-7),
+    "q-binomial": (lambda: qbinomial_integral().spec(), qbinomial_target, 1e-8),
+    "kac": (lambda: kac_rhs_integral().spec(), lambda: kac_lhs().symbol, 1e-7),
+}
 
 
 @dataclass(frozen=True)
@@ -216,13 +225,43 @@ def _compare(lhs, rhs, tol, res=None) -> dict:
     }
 
 
-def _identity_check(spec, closed, m, cfg, rel_tol, tol, bind: Callable[[], dict]):
-    """Step generator (see BoundSymbol.steps) of one identity case: the
-    integral of spec against its closed form (see identity_steps), at the
-    bindings bind() returns.  bind runs inside the case, so labels it
-    refuses fail only this case."""
-    lhs, rhs, res = yield from identity_steps(spec, closed, bind(), m, cfg, rel_tol)
-    return _compare(lhs, rhs, tol, res)
+def _run_family(family, b, entries, *, alpha, tol, cfg, config, seed=None) -> SuiteReport:
+    """Run the suite of one identity family of _FAMILIES.
+
+    entries(m) lists each case's (label, inputs, bind).  The case is a step
+    generator (see BoundSymbol.steps): the family's integral against its
+    closed form (see identity_steps) at the bindings bind() returns.  bind
+    runs inside the case, so labels it refuses fail only this case.  Both
+    symbols are built once per run.
+    """
+    integrand, closed, rel_tol = _FAMILIES[family]
+
+    def cases(m):
+        spec, symbol = integrand(), closed()
+
+        def check(bind):
+            lhs, rhs, res = yield from identity_steps(spec, symbol, bind(), m, cfg, rel_tol)
+            return _compare(lhs, rhs, tol, res)
+
+        return [_Case(label, inputs, partial(check, bind)) for label, inputs, bind in entries(m)]
+
+    return _run(family, b, cases, alpha=alpha, tol=tol, seed=seed,
+                config={**config, "rel_tol": rel_tol})
+
+
+def _rep_entries(m, rows) -> list:
+    """Entries (see _run_family) of rep-label rows: each row maps s, t and
+    alpha (those it sets) and u to values, and its label lists them in
+    order.  A case's bind refuses labels that come near the lattice."""
+    static = (kac_lhs().symbol, qbinomial_target())
+
+    def bind(u, **labels):
+        return rep_bindings(checked_rep_params(static, m.b, u_samples=(u,), **labels), u)
+
+    return [
+        (" ".join(f"{k}={v}" for k, v in row.items()), row, partial(bind, **row))
+        for row in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -384,26 +423,18 @@ def run_tau_binomial(
     Grid points Q*k/12 for k = 1..n keep every pair inside the absolute
     convergence wedge Re(alpha + beta) < Re Q when n <= 5.
     """
-    rel_tol = _REL_TOL["tau-binomial"]
 
-    def cases(m):
+    def entries(m):
         grid = [m.Q * k / 12 for k in range(1, n + 1)]
-        check = partial(_identity_check, tau_binomial_integrand(),
-                        tau_binomial_closed_steps, m, cfg, rel_tol, tol)
         return [
-            _Case(
-                f"alpha={a:.4g} beta={be:.4g}",
-                {"alpha": a, "beta": be},
-                partial(check, partial(tau_binomial_bindings, a, be, m)),
-            )
+            (f"alpha={a:.4g} beta={be:.4g}", {"alpha": a, "beta": be},
+             partial(tau_binomial_bindings, a, be, m))
             for a in grid
             for be in grid
         ]
 
-    return _run(
-        "tau-binomial", b, cases, alpha=alpha, tol=tol,
-        config={"n": n, "rel_tol": rel_tol},
-    )
+    return _run_family("tau-binomial", b, entries, alpha=alpha, tol=tol, cfg=cfg,
+                       config={"n": n})
 
 
 def _six_nine_tuples(m, rng, n_random: int):
@@ -434,31 +465,24 @@ def run_six_nine(
     n_random: int = 10,
 ) -> SuiteReport:
     """Six-over-three G ratio vs the contour integral, random + named tuples."""
-    rel_tol = _REL_TOL["six-nine"]
 
-    def cases(m):
+    def entries(m):
         rng = np.random.default_rng(seed)
-        entries = [("random", t) for t in _six_nine_tuples(m, rng, n_random)]
-        entries.append(("named-1", (m.Q / 6, m.Q / 7, m.Q / 9, m.Q / 4 + 0.1j)))
-        entries.append(("named-2", (m.Q / 8, m.Q / 8, m.Q / 8, m.Q / 3)))
+        kinds = [("random", t) for t in _six_nine_tuples(m, rng, n_random)]
+        kinds.append(("named-1", (m.Q / 6, m.Q / 7, m.Q / 9, m.Q / 4 + 0.1j)))
+        kinds.append(("named-2", (m.Q / 8, m.Q / 8, m.Q / 8, m.Q / 3)))
         params = make_rep_params(m.b, alpha=alpha)
         kac_tuple = kac_substitution_tuple(params, params.u_samples[0])
-        entries.append(("kac-substitution", kac_tuple))
-        check = partial(_identity_check, six_nine_integrand(), six_nine_closed_steps,
-                        m, cfg, rel_tol, tol)
+        kinds.append(("kac-substitution", kac_tuple))
         return [
-            _Case(
-                f"{kind} A={a:.3g} B={b_arg:.3g} C={c:.3g} D={d:.3g}",
-                {"A": a, "B": b_arg, "C": c, "D": d, "kind": kind},
-                partial(check, partial(six_nine_bindings, a, b_arg, c, d, m)),
-            )
-            for kind, (a, b_arg, c, d) in entries
+            (f"{kind} A={a:.3g} B={b_arg:.3g} C={c:.3g} D={d:.3g}",
+             {"A": a, "B": b_arg, "C": c, "D": d, "kind": kind},
+             partial(six_nine_bindings, a, b_arg, c, d, m))
+            for kind, (a, b_arg, c, d) in kinds
         ]
 
-    return _run(
-        "six-nine", b, cases, alpha=alpha, tol=tol, seed=seed,
-        config={"n_random": n_random, "rel_tol": rel_tol},
-    )
+    return _run_family("six-nine", b, entries, alpha=alpha, tol=tol, cfg=cfg,
+                       seed=seed, config={"n_random": n_random})
 
 
 # ---------------------------------------------------------------------------
@@ -522,37 +546,14 @@ def run_q_binomial(
     cfg: EvalConfig | None = None,
 ) -> SuiteReport:
     """Binomial expansion of (U1+V1)^{is} against the divided-power symbol."""
-    rel_tol = _REL_TOL["q-binomial"]
-    tuples = [
-        (0.4, alpha, 0.1),
-        (0.4, alpha, -0.2),
-        (0.25, 0.35, 0.15),
-        (0.55, alpha, -0.1),
+    rows = [
+        {"s": 0.4, "alpha": alpha, "u": 0.1},
+        {"s": 0.4, "alpha": alpha, "u": -0.2},
+        {"s": 0.25, "alpha": 0.35, "u": 0.15},
+        {"s": 0.55, "alpha": alpha, "u": -0.1},
     ]
-
-    def cases(m):
-        target = qbinomial_target()
-        static = (kac_lhs().symbol, target)
-        check = partial(_identity_check, qbinomial_integral().spec(),
-                        target.evaluate_steps, m, cfg, rel_tol, tol)
-
-        def bind(s, al, u):
-            params = checked_rep_params(static, m.b, alpha=al, s=s, u_samples=(u,))
-            return rep_bindings(params, u)
-
-        return [
-            _Case(
-                f"s={s} alpha={al} u={u}",
-                {"s": s, "alpha": al, "u": u},
-                partial(check, partial(bind, s, al, u)),
-            )
-            for s, al, u in tuples
-        ]
-
-    return _run(
-        "q-binomial", b, cases, alpha=alpha, tol=tol,
-        config={"rel_tol": rel_tol, "n": len(tuples)},
-    )
+    return _run_family("q-binomial", b, partial(_rep_entries, rows=rows), alpha=alpha,
+                       tol=tol, cfg=cfg, config={"n": len(rows)})
 
 
 _KAC_TUPLES = {
@@ -587,35 +588,14 @@ def run_kac(
     Tuples are (s, t, alpha, u); an explicit alpha argument overrides the
     per-tuple weight.
     """
-    rel_tol = _REL_TOL["kac"]
     if tuples is None:
         tuples = _KAC_TUPLES.get(round(float(np.real(b)), 6), _KAC_TUPLES[0.8][:4])
-    if alpha is not None:
-        tuples = [(s, t, alpha, u) for s, t, _, u in tuples]
-
-    def cases(m):
-        product = kac_lhs().symbol
-        static = (product, qbinomial_target())
-        check = partial(_identity_check, kac_rhs_integral().spec(),
-                        product.evaluate_steps, m, cfg, rel_tol, tol)
-
-        def bind(s, t, al, u):
-            params = checked_rep_params(static, m.b, alpha=al, s=s, t=t, u_samples=(u,))
-            return rep_bindings(params, u)
-
-        return [
-            _Case(
-                f"s={s} t={t} alpha={al} u={u}",
-                {"s": s, "t": t, "alpha": al, "u": u},
-                partial(check, partial(bind, s, t, al, u)),
-            )
-            for s, t, al, u in tuples
-        ]
-
-    return _run(
-        "kac", b, cases, alpha=alpha, tol=tol,
-        config={"rel_tol": rel_tol, "n": len(tuples)},
-    )
+    rows = [
+        {"s": s, "t": t, "alpha": al if alpha is None else alpha, "u": u}
+        for s, t, al, u in tuples
+    ]
+    return _run_family("kac", b, partial(_rep_entries, rows=rows), alpha=alpha,
+                       tol=tol, cfg=cfg, config={"n": len(rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -715,18 +695,16 @@ def run_consistency(
         def rep(**labels):
             return rep_bindings(make_rep_params(m.b, u_samples=(0.1,), **labels), 0.1)
 
-        families = (
-            ("tau-binomial", tau_binomial_integrand(),
-             tau_binomial_bindings(m.Q / 6, m.Q / 6, m)),
-            ("six-nine", six_nine_integrand(),
-             six_nine_bindings(m.Q / 6, m.Q / 7, m.Q / 9, m.Q / 4 + 0.1j, m)),
-            ("q-binomial", qbinomial_integral().spec(), rep(alpha=alpha, s=0.4)),
-            ("kac", kac_rhs_integral().spec(), rep(alpha=0.5, s=0.3, t=0.2)),
-        )
-        for family, spec, bindings in families:
+        bindings = {
+            "tau-binomial": tau_binomial_bindings(m.Q / 6, m.Q / 6, m),
+            "six-nine": six_nine_bindings(m.Q / 6, m.Q / 7, m.Q / 9, m.Q / 4 + 0.1j, m),
+            "q-binomial": rep(alpha=alpha, s=0.4),
+            "kac": rep(alpha=0.5, s=0.3, t=0.2),
+        }
+        for family, (integrand, _, rel_tol) in _FAMILIES.items():
             # The pair's two cases share one generator, so the base value is
             # integrated once.
-            pair = _consistency_pair(spec, bindings, m, cfg, _REL_TOL[family])
+            pair = _consistency_pair(integrand(), bindings[family], m, cfg, rel_tol)
             variants = ("contour-deformed", "truncation-doubled")
             out += _shared(pair, [(f"{family} {v}", {}) for v in variants])
         return out

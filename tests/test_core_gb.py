@@ -20,6 +20,7 @@ from qdilog.core import (
     gb_eval,
     gb_eval_many,
     gb_product_oracle,
+    log_gb_strip,
     nearest_lattice_point,
     one_minus_exp,
     pole_limit,
@@ -743,6 +744,17 @@ def test_eval_many_keeps_the_shape_of_its_input():
     assert gb_eval_many(np.array(0.5), m) == flat[0]
     with pytest.raises(PoleProximityError):
         gb_eval_many([[0.5, 0.6], [0.0, 0.7]], m)
+    # A ragged or non-numeric argument is refused by name, not left to numpy
+    # or read as NaN.
+    for bad in ([[0.5], [0.6, 0.7]], "abc", [object()], None, [0.5, None]):
+        with pytest.raises(ParameterDomainError, match="^zs must be"):
+            gb_eval_many(bad, m)
+    for bad in ("x", None, object(), [0.5, 0.6], np.zeros(0)):
+        with pytest.raises(ParameterDomainError, match="^z must be"):
+            gb_eval(bad, m)
+    for bad in ([[0.5], [0.6, 0.7]], ["0.5"], [0.5, None]):
+        with pytest.raises(ParameterDomainError, match="^z0s must be"):
+            log_gb_strip(bad, m)
 
 
 def test_modulus_rejects_degenerate_b():

@@ -28,7 +28,12 @@ from qdilog.quadrature import Arc, Line, integrate_batch
 from qdilog.contour import integrate_contour
 
 # Written by `python tests/test_lockstep.py` with the code at commit 38c3bde,
-# where every case integrated by itself.
+# where every case integrated by itself.  The integrals' bits are still those.
+# Four cells were rewritten since: element [1], the closed form, of
+# tau_binomial_check and six_nine_check at both moduli.  Those closed forms
+# became exact Symbols, whose evaluation multiplies the G_b powers in the
+# symbol's factor order with reciprocals, not as (g0 ... g5) / (g6 g7 g8), so
+# their last bits moved, by 5e-17 to 5.4e-16 relative.
 GOLDEN = pathlib.Path(__file__).parent / "data" / "check_values.json"
 MODULI = {"0.8": 0.8, "0.6+0.1i": 0.6 + 0.1j}
 

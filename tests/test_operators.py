@@ -7,9 +7,11 @@ import pytest
 
 from qdilog import suites
 from qdilog.core import as_modulus
-from qdilog.errors import DegenerateParameterError
+from qdilog.errors import DegenerateParameterError, PoleProximityError
+from qdilog.identities import six_nine_closed, six_nine_integrand, tau_binomial_closed
 from qdilog.operators import (
     OpIntegral,
+    RepParams,
     ShiftOp,
     compose,
     kac_lhs,
@@ -281,6 +283,60 @@ def test_substitution_tuple_values():
     assert b_arg == pytest.approx(-0.16j)
     assert c == pytest.approx(-0.12j)
     assert d == pytest.approx(m.Q / 2 + 0.76j)
+
+
+# The substitution (A, B, C, D, tau) that puts the E o F integral into
+# six-to-nine form, as exact forms in the representation labels.
+_BS, _BT, _U = gen("bs"), gen("bt"), gen("u")
+KAC_SIX_NINE_FORMS = {
+    "A": _BS.scale(-1j),
+    "B": _BT.scale(-1j),
+    "C": (_BS - _BT).scale(1j) + _U.scale(-2j),
+    "D": gen("Q").scale(Fraction(1, 2)) + (gen("alpha") + _BT + _U).scale(1j),
+}
+
+
+def _at_kac_forms(symbol: Symbol) -> Symbol:
+    for name, form in KAC_SIX_NINE_FORMS.items():
+        symbol = symbol.substitute(name, form)
+    return symbol
+
+
+def test_kac_product_law_is_the_six_nine_identity():
+    # The paper's theorem, exactly: at A..D above and tau = -btau, the E o F
+    # integrand is a btau-free factor P times the six-nine integrand, and
+    # the E o F product is P times the six-over-three closed form.
+    six_nine = _at_kac_forms(six_nine_integrand().symbol).substitute(
+        "tau", gen("btau").scale(-1)
+    )
+    p = kac_rhs_integral().spec().symbol * six_nine.inverse()
+    assert all(f.argument.coeff("btau").is_zero() for f in p.factors)
+    assert all("btau" not in pair for pair, _ in p.gauss.terms)
+    assert symbol_equal_exact(kac_lhs().symbol, p * _at_kac_forms(six_nine_closed())) == (
+        True, {"gauss": [], "factors": []}
+    )
+
+
+@pytest.mark.parametrize("b", [0.8, 0.6, 0.6 + 0.1j])
+def test_substitution_tuple_is_the_exact_forms_evaluated(b):
+    params = RepParams(b=b, alpha=0.5, s=0.3, t=0.2, u_samples=(0.1, -0.23))
+    for u in params.u_samples:
+        bindings = rep_bindings(params, u)
+        got = kac_substitution_tuple(params, u)
+        for value, form in zip(got, KAC_SIX_NINE_FORMS.values()):
+            exact = form.evaluate(bindings)
+            assert abs(value - exact) <= 1e-15 * abs(exact)
+
+
+def test_a_closed_form_at_a_zero_of_g_b_is_a_typed_error():
+    # alpha + beta = Q and A + B + D = Q are zeros of G_b under a negative
+    # power.
+    m = as_modulus(0.8)
+    with pytest.raises(PoleProximityError):
+        tau_binomial_closed().evaluate({"alpha": m.Q / 2, "beta": m.Q / 2}, m)
+    third = m.Q / 3
+    with pytest.raises(PoleProximityError):
+        six_nine_closed().evaluate({"A": third, "B": third, "C": m.Q / 5, "D": third}, m)
 
 
 def test_degenerate_labels_are_refused():
